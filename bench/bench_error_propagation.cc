@@ -51,13 +51,15 @@ void Run() {
         Riblt table(params);
         Rng rng(params.seed ^ 0xabc);
         size_t keys = static_cast<size_t>(c * static_cast<double>(m));
+        const Coord base_value[] = {kBase};
+        const Coord error_value[] = {kBase + kError};
         for (size_t i = 0; i < keys; ++i) {
-          table.Insert(rng.Next(), Point(std::vector<Coord>{kBase}));
+          table.Update(rng.Next(), base_value, +1);
         }
         // The planted canceled pair: equal key, values differing by kError.
         uint64_t error_key = rng.Next();
-        table.Insert(error_key, Point(std::vector<Coord>{kBase + kError}));
-        table.Delete(error_key, Point(std::vector<Coord>{kBase}));
+        table.Update(error_key, error_value, +1);
+        table.Update(error_key, base_value, -1);
 
         Rng decode_rng(static_cast<uint64_t>(trial + 1));
         auto result = table.Decode(keys + 2, keys + 2, &decode_rng);

@@ -366,7 +366,7 @@ void BM_RibltInsert(benchmark::State& state) {
   Point p = GenerateUniform(1, 8, 1023, &rng)[0];
   uint64_t key = 1;
   for (auto _ : state) {
-    table.Insert(key++, p);
+    table.Update(key++, p.coords().data(), +1);
   }
 }
 BENCHMARK(BM_RibltInsert);
@@ -383,7 +383,8 @@ void BM_RibltDecode(benchmark::State& state) {
   Riblt table(params);
   Rng rng(12);
   for (int i = 0; i < 16; ++i) {
-    table.Insert(rng.Next(), GenerateUniform(1, 8, 1023, &rng)[0]);
+    table.Update(rng.Next(),
+                 GenerateUniform(1, 8, 1023, &rng)[0].coords().data(), +1);
   }
   for (auto _ : state) {
     Rng decode_rng(13);
@@ -405,7 +406,8 @@ void BM_RibltDecodeStore(benchmark::State& state) {
   Riblt table(params);
   Rng rng(12);
   for (int i = 0; i < 16; ++i) {
-    table.Insert(rng.Next(), GenerateUniform(1, 8, 1023, &rng)[0]);
+    table.Update(rng.Next(),
+                 GenerateUniform(1, 8, 1023, &rng)[0].coords().data(), +1);
   }
   RibltDecodeResult result;
   for (auto _ : state) {
@@ -443,8 +445,8 @@ void BM_RibltBuildSharded(benchmark::State& state) {
   for (auto& k : keys) k = rng.Next();
   PointStore values = GenerateUniformStore(n, 8, 1023, &rng);
   for (auto _ : state) {
-    table.InsertManySharded(keys, values, num_shards, /*num_threads=*/1);
-    table.DeleteManySharded(keys, values, num_shards, /*num_threads=*/1);
+    table.UpdateManySharded(keys, values, +1, num_shards, /*num_threads=*/1);
+    table.UpdateManySharded(keys, values, -1, num_shards, /*num_threads=*/1);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

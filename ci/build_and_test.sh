@@ -92,6 +92,8 @@ if [[ "${RSR_BENCH:-0}" == "1" && ! -x build/bench_micro ]]; then
   exit 1
 fi
 
+# UBSan is non-recoverable here (-fno-sanitize-recover=undefined in
+# CMakeLists.txt): a finding aborts its test instead of printing and passing.
 echo "==== Debug + ASan/UBSan build + tests ===="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DRSR_SANITIZE=ON \
   "${WERROR_FLAGS[@]}" "${TIMEOUT_FLAGS[@]}"
@@ -114,10 +116,11 @@ RSR_WIRE_CODEC=compact ctest --test-dir build-asan --output-on-failure -j \
 # out under churn — SyncServerTest.ConcurrentChurnAndSync plus the adaptive
 # analogue SyncServerAdaptiveTest.ConcurrentAdaptiveSessions, where sessions
 # negotiate off one shared snapshot's estimators and fold into per-session
-# scratch — and the rest of the Sync suite). Scoped to -R 'Sync': that is
-# where the library spawns concurrent readers against a mutating writer; the
-# full suite under TSan would triple CI time re-checking single-threaded
-# code ASan already covers.
+# scratch — and the rest of the Sync suite), plus the concurrent decodes of
+# one shared Iblt/Riblt (CellTableConcurrentDecodeTest: peel scratch is
+# thread_local, so decode is reentrant). Scoped to those: that is where the
+# library runs concurrent readers; the full suite under TSan would triple CI
+# time re-checking single-threaded code ASan already covers.
 # RelWithDebInfo, not Debug: TSan's own slowdown on the protocol loops is
 # ~10x and needs -O2 to keep the leg fast.
 echo "==== RelWithDebInfo + TSan build + concurrency tests ===="
@@ -125,6 +128,6 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRSR_SANITIZE=thread "${WERROR_FLAGS[@]}" "${TIMEOUT_FLAGS[@]}"
 cmake --build build-tsan -j
 ctest --test-dir build-tsan --output-on-failure -j \
-  --timeout "${CTEST_TIMEOUT}" -R 'Sync'
+  --timeout "${CTEST_TIMEOUT}" -R 'Sync|ConcurrentDecode'
 
 echo "==== CI OK ===="

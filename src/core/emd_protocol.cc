@@ -96,8 +96,8 @@ Result<EmdProtocolReport> FinishEmdProtocol(
   // side.
   if (params.sketch_shards > 1) {
     for (size_t l = 0; l < derived.levels; ++l) {
-      received[l].DeleteManySharded(
-          std::span<const uint64_t>(bob_keys.data() + l * n, n), bob,
+      received[l].UpdateManySharded(
+          std::span<const uint64_t>(bob_keys.data() + l * n, n), bob, -1,
           params.sketch_shards, params.num_threads);
     }
   } else {
@@ -146,9 +146,9 @@ Result<EmdProtocolReport> FinishEmdProtocol(
   Metric metric(params.metric);
   const PointStore& x_b = report.x_b;
 
-  // Keep |X_A| <= |X_B| by trimming X_A (drop lexicographically largest —
-  // deterministic; see DESIGN.md "size repair"). The report's arena is
-  // copied only when a trim actually mutates it.
+  // Keep |X_A| <= |X_B| by trimming X_A (drop lexicographically largest, so
+  // the repair is deterministic). The report's arena is copied only when a
+  // trim actually mutates it.
   const PointStore* x_a = &report.x_a;
   PointStore trimmed;
   if (report.x_a.size() > x_b.size()) {
@@ -261,8 +261,8 @@ Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
   // built shard by shard — still byte-identical on the wire.
   if (params.sketch_shards > 1) {
     for (size_t l = 0; l < derived.levels; ++l) {
-      tables[l].InsertManySharded(
-          std::span<const uint64_t>(alice_keys.data() + l * n, n), alice,
+      tables[l].UpdateManySharded(
+          std::span<const uint64_t>(alice_keys.data() + l * n, n), alice, +1,
           params.sketch_shards, params.num_threads);
     }
   } else {

@@ -50,7 +50,9 @@ struct EmdProtocolReport {
   /// Points extracted at level i* (moved straight out of the store-native
   /// decode result; row order is extraction order).
   PointStore x_a, x_b;
-  /// Size repair bookkeeping (|X_A| != |X_B| handling; see DESIGN.md).
+  /// Size repair bookkeeping when |X_A| != |X_B|: the points trimmed from
+  /// X_A (lexicographically largest first) when |X_A| > |X_B|, and the
+  /// matched Y_B points Bob keeps when |X_A| < |X_B|, so |S'_B| stays n.
   size_t trimmed_from_x_a = 0;
   size_t kept_in_y_b = 0;
   CommStats comm;

@@ -115,8 +115,8 @@ Result<EmdSketchSet> BuildEmdSketches(const PointStore& alice,
   // paths produce byte-identical cells (riblt_sharded_test).
   if (params.sketch_shards > 1) {
     for (size_t l = 0; l < derived.levels; ++l) {
-      set.tables[l].InsertManySharded(
-          std::span<const uint64_t>(keys.data() + l * n, n), alice,
+      set.tables[l].UpdateManySharded(
+          std::span<const uint64_t>(keys.data() + l * n, n), alice, +1,
           params.sketch_shards, params.num_threads);
     }
   } else {

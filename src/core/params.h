@@ -45,7 +45,7 @@ struct EmdProtocolParams {
   /// Intra-table shards for each level's RIBLT build (<= 1 = classic
   /// sequential insert). When > 1 the levels build sequentially but each
   /// table's cell array is partitioned into this many contiguous sub-ranges
-  /// (Riblt::InsertManySharded), which parallelizes WITHIN a table and keeps
+  /// (Riblt::UpdateManySharded), which parallelizes WITHIN a table and keeps
   /// each pass's cell writes cache-local on large tables. Wire bytes are
   /// identical to the sequential build for every shard/thread combination.
   size_t sketch_shards = 1;

@@ -104,7 +104,8 @@ Result<QuadtreeEmdReport> RunQuadtreeEmdProtocol(
     std::vector<std::vector<uint64_t>> cell_vectors;
     std::vector<uint64_t> keys = build_keys(alice, level, &cell_vectors);
     for (size_t i = 0; i < n; ++i) {
-      table.InsertKv(keys[i], PackCells(cell_vectors[i]));
+      const std::vector<uint8_t> value = PackCells(cell_vectors[i]);
+      table.Update(keys[i], value.data(), +1);
     }
     table.WriteTo(&message);
   }
@@ -122,7 +123,8 @@ Result<QuadtreeEmdReport> RunQuadtreeEmdProtocol(
     std::vector<uint64_t> keys = build_keys(bob, level, &cell_vectors);
     std::unordered_map<uint64_t, size_t> key_to_point;
     for (size_t i = 0; i < n; ++i) {
-      table.DeleteKv(keys[i], PackCells(cell_vectors[i]));
+      const std::vector<uint8_t> value = PackCells(cell_vectors[i]);
+      table.Update(keys[i], value.data(), -1);
       key_to_point[keys[i]] = i;
     }
     IbltDecodeResult decoded = table.Decode();

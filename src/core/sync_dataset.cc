@@ -172,8 +172,8 @@ Result<SyncDataset> SyncDataset::Create(const PointStore& initial,
   }
   if (params.sketch_shards > 1) {
     for (size_t l = 0; l < t; ++l) {
-      ds.sketches_.tables[l].InsertManySharded(
-          std::span<const uint64_t>(keys.data() + l * n, n), ds.rows_,
+      ds.sketches_.tables[l].UpdateManySharded(
+          std::span<const uint64_t>(keys.data() + l * n, n), ds.rows_, +1,
           params.sketch_shards, params.num_threads);
     }
   } else {

@@ -7,9 +7,9 @@
 //   - Mutations (Insert/Delete/ApplyBatch) run under the server mutex, one
 //     writer at a time, delegating to the dataset's incremental updates.
 //   - AcquireSnapshot() returns a shared_ptr<const SyncSnapshot>: a deep
-//     copy of the level tables' cell arrays (Riblt's copy constructor skips
-//     the pooled decode scratch, so the copy is exactly the cells — ~levels
-//     x cells x cell bytes, no rebuild, no hashing). The copy is cached and
+//     copy of the level tables' cell arrays (a Riblt copy carries no
+//     scratch, so the copy is exactly the cells — ~levels x cells x cell
+//     bytes, no rebuild, no hashing). The copy is cached and
 //     tagged with the dataset's generation counter: repeat acquisitions
 //     between mutations share one snapshot, so the steady-state cost of a
 //     sync under low churn is zero copies.

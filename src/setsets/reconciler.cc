@@ -177,7 +177,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     sig_params.seed = HashCombine(salt, 0x516'0000u + static_cast<uint32_t>(attempt));
 
     Iblt bob_table(sig_params);
-    bob_table.InsertManySharded(bob_salted, params.sketch_shards,
+    bob_table.UpdateManySharded(bob_salted, +1, params.sketch_shards,
                                 params.num_threads);
     ByteWriter msg1;
     // Without the adaptive estimator round, this is the exchange's first
@@ -210,7 +210,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     (void)bob_count;
     RSR_ASSIGN_OR_RETURN(Iblt alice_view,
                          Iblt::ReadFrom(&reader, parsed_sig_params, codec));
-    alice_view.DeleteManySharded(alice_salted, params.sketch_shards,
+    alice_view.UpdateManySharded(alice_salted, -1, params.sketch_shards,
                                  params.num_threads);
     IbltDecodeResult decoded = alice_view.Decode();
     if (decoded.complete) {
@@ -341,7 +341,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       elem_params.seed = HashCombine(salt, 0xe1e'0000u + static_cast<uint32_t>(attempt));
 
       Iblt elem_table(elem_params);
-      elem_table.InsertManySharded(bob_words, params.sketch_shards,
+      elem_table.UpdateManySharded(bob_words, +1, params.sketch_shards,
                                    params.num_threads);
       ByteWriter msg3;
       elem_table.WriteTo(&msg3, codec);
@@ -364,7 +364,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       ByteReader reader(msg3.buffer());
       RSR_ASSIGN_OR_RETURN(Iblt alice_view,
                            Iblt::ReadFrom(&reader, elem_params, codec));
-      alice_view.DeleteManySharded(alice_words, params.sketch_shards,
+      alice_view.UpdateManySharded(alice_words, -1, params.sketch_shards,
                                    params.num_threads);
       IbltDecodeResult decoded = alice_view.Decode();
 

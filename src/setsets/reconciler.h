@@ -3,7 +3,7 @@
 // The Gap protocol (Section 4.1) consumes the protocol of [MM18] as a black
 // box: Alice must recover Bob's multiset of keys with communication
 // proportional to the number of differing key entries. This module provides
-// two from-scratch implementations of that interface (see DESIGN.md §3):
+// two from-scratch implementations of that interface:
 //
 //   kVerbatim   — 3 messages. (1) Bob->Alice: IBLT of occurrence-salted set
 //                 signatures; (2) Alice->Bob: signatures she is missing;
@@ -76,7 +76,7 @@ struct SetsReconcilerParams {
   /// size, so correctness is unchanged. Default OFF.
   AdaptiveSizingParams adaptive;
   /// Intra-table shards for the signature/element IBLT builds (<= 1 = classic
-  /// sequential insert; see Iblt::InsertManySharded). Byte-identical wire
+  /// sequential insert; see Iblt::UpdateManySharded). Byte-identical wire
   /// output for every value; > 1 keeps cell writes cache-local on large
   /// tables and enables intra-table parallelism.
   size_t sketch_shards = 1;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "hashing/checksum.h"
-#include "util/parallel.h"
 
 namespace rsr {
 
@@ -22,154 +20,31 @@ inline size_t ValueWords(size_t num_cells, size_t value_size) {
 
 }  // namespace
 
-Iblt::Iblt(const IbltParams& params) : params_(params) {
-  RSR_CHECK(params.num_hashes >= 2);
-  RSR_CHECK(params.num_hashes <= kMaxHashes);
-  RSR_CHECK(params.num_cells > 0);
+Iblt::Iblt(const IbltParams& params)
+    : params_(params),
+      geometry_(params.num_cells, params.num_hashes, params.seed,
+                0x1b17a5e11b17ULL) {
   RSR_CHECK(params.checksum_bytes >= 1 && params.checksum_bytes <= 8);
-  size_t q = static_cast<size_t>(params.num_hashes);
-  cells_per_subtable_ = (params.num_cells + q - 1) / q;
-  if (cells_per_subtable_ == 0) cells_per_subtable_ = 1;
-  num_cells_ = cells_per_subtable_ * q;
-  params_.num_cells = num_cells_;
-  subtable_mod_ = FastDiv61(cells_per_subtable_);
+  params_.num_cells = geometry_.num_cells();
   checksum_mask_ = ChecksumMask(params_.checksum_bytes);
   checksum_salt_ = ChecksumSalt(params_.seed);
-
-  Rng rng(params.seed ^ 0x1b17a5e11b17ULL);
-  for (size_t j = 0; j < q; ++j) {
-    // 3-independent cell indices suffice for peeling in practice; the
-    // polynomial family keeps both parties' functions identical by seed.
-    // The drawn coefficients are copied into the flat inline array that
-    // CellsOf evaluates (same RNG stream, same polynomials as ever).
-    KIndependentHash h = KIndependentHash::Draw(kIndexIndependence, &rng);
-    for (int i = 0; i < kIndexIndependence; ++i) {
-      index_coeffs_[j * kIndexIndependence + static_cast<size_t>(i)] =
-          h.coeffs()[i];
-    }
-  }
-
-  arena_.assign(3 * num_cells_ + ValueWords(num_cells_, params_.value_size),
-                0);
-}
-
-// RSR_ZERO_ALLOC: pinned by SketchHotPathTest.IbltUpdateManyDoesNotAllocate.
-void Iblt::UpdateMany(std::span<const uint64_t> keys, int direction) {
-  RSR_CHECK_EQ(params_.value_size, 0u);
-  for (uint64_t key : keys) UpdateUnchecked(key, nullptr, direction);
+  arena_.assign(
+      3 * num_cells() + ValueWords(num_cells(), params_.value_size), 0);
 }
 
 void Iblt::UpdateManySharded(std::span<const uint64_t> keys, int direction,
                              size_t num_shards, size_t num_threads) {
   RSR_CHECK_EQ(params_.value_size, 0u);
-  if (keys.empty()) return;
-  const size_t total = num_cells_;
-  if (num_shards > total) num_shards = total;
-  if (num_shards <= 1) {
-    UpdateMany(keys, direction);
-    return;
-  }
-  const size_t n = keys.size();
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-
-  // Phase 1: hash every key once, sharded over keys (pooled buffers).
-  shard_scratch_.cells.resize(n * q);
-  shard_scratch_.checksums.resize(n);
-  uint32_t* const cell_idx = shard_scratch_.cells.data();
-  uint64_t* const checksums = shard_scratch_.checksums.data();
-  const uint64_t* const key_data = keys.data();
   const uint64_t mask = checksum_mask_;
   const uint64_t salt = checksum_salt_;
-  ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
-    size_t cells[kMaxHashes];
-    for (size_t i = begin; i < end; ++i) {
-      CellsOf(key_data[i], cells);
-      for (size_t j = 0; j < q; ++j) {
-        cell_idx[i * q + j] = static_cast<uint32_t>(cells[j]);
-      }
-      checksums[i] = ChecksumWithSalt(key_data[i], salt) & mask;
-    }
-  });
-
-  // Cell blocks sized so one block's three slabs (~24 B/cell) stay
-  // L2-resident while its bucket is applied; pure function of the table
-  // geometry. See Riblt::UpdateManySharded for the full phase walkthrough.
-  constexpr size_t kCellBytes = 3 * sizeof(uint64_t);
-  size_t block_shift = 0;
-  while ((size_t{1} << (block_shift + 1)) * kCellBytes <= (size_t{1} << 19)) {
-    ++block_shift;
-  }
-  const size_t num_blocks = ((total - 1) >> block_shift) + 1;
-  if (num_shards > num_blocks) num_shards = num_blocks;
-
-  // Phase 2: stable counting sort of the n*q updates into per-block buckets
-  // as packed (cell << 32 | key index) words.
-  const size_t key_blocks = num_shards < n ? num_shards : n;
-  shard_scratch_.bucket_counts.assign(key_blocks * num_blocks, 0);
-  shard_scratch_.bucket_offsets.resize(key_blocks * num_blocks);
-  shard_scratch_.block_starts.resize(num_blocks + 1);
-  shard_scratch_.entries.resize(n * q);
-  uint32_t* const bucket_counts = shard_scratch_.bucket_counts.data();
-  size_t* const bucket_offsets = shard_scratch_.bucket_offsets.data();
-  size_t* const block_starts = shard_scratch_.block_starts.data();
-  uint64_t* const entries = shard_scratch_.entries.data();
-
-  ParallelShards(key_blocks, num_threads, [&](size_t kb_begin, size_t kb_end) {
-    for (size_t kb = kb_begin; kb < kb_end; ++kb) {
-      uint32_t* const cnt = bucket_counts + kb * num_blocks;
-      const size_t i_end = ShardBoundary(n, key_blocks, kb + 1);
-      for (size_t i = ShardBoundary(n, key_blocks, kb); i < i_end; ++i) {
-        for (size_t j = 0; j < q; ++j) {
-          ++cnt[cell_idx[i * q + j] >> block_shift];
-        }
-      }
-    }
-  });
-  size_t run = 0;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    block_starts[b] = run;
-    for (size_t kb = 0; kb < key_blocks; ++kb) {
-      bucket_offsets[kb * num_blocks + b] = run;
-      run += bucket_counts[kb * num_blocks + b];
-    }
-  }
-  block_starts[num_blocks] = run;
-  ParallelShards(key_blocks, num_threads, [&](size_t kb_begin, size_t kb_end) {
-    for (size_t kb = kb_begin; kb < kb_end; ++kb) {
-      size_t* const cursor = bucket_offsets + kb * num_blocks;
-      const size_t i_end = ShardBoundary(n, key_blocks, kb + 1);
-      for (size_t i = ShardBoundary(n, key_blocks, kb); i < i_end; ++i) {
-        for (size_t j = 0; j < q; ++j) {
-          const uint32_t cell = cell_idx[i * q + j];
-          const size_t pos = cursor[cell >> block_shift]++;
-          entries[pos] = (static_cast<uint64_t>(cell) << 32) | i;
-        }
-      }
-    }
-  });
-
-  // Phase 3: each shard applies its contiguous range of blocks' buckets
-  // (disjoint writes, global key order per cell — byte-identical to the
-  // sequential build; see header comment).
-  int64_t* const counts = Counts();
-  uint64_t* const key_xors = KeyXors();
-  uint64_t* const checksum_xors = ChecksumXors();
-  ParallelShards(num_shards, num_threads, [&](size_t s_begin, size_t s_end) {
-    for (size_t shard = s_begin; shard < s_end; ++shard) {
-      const size_t pos_begin =
-          block_starts[ShardBoundary(num_blocks, num_shards, shard)];
-      const size_t pos_end =
-          block_starts[ShardBoundary(num_blocks, num_shards, shard + 1)];
-      for (size_t pos = pos_begin; pos < pos_end; ++pos) {
-        const uint64_t e = entries[pos];
-        const size_t cell = e >> 32;
-        const size_t i = static_cast<uint32_t>(e);
-        counts[cell] += direction;
-        key_xors[cell] ^= key_data[i];
-        checksum_xors[cell] ^= checksums[i];
-      }
-    }
-  });
+  const CellSlabs slabs = Slabs();
+  sketch_internal::ShardedUpdate(
+      geometry_, keys, /*cell_bytes=*/3 * sizeof(uint64_t), num_shards,
+      num_threads, shard_scratch_.get(),
+      [=](uint64_t key) { return ChecksumWithSalt(key, salt) & mask; },
+      [=](size_t cell, size_t i, uint64_t checksum) {
+        slabs.Apply(cell, keys[i], checksum, nullptr, direction);
+      });
 }
 
 Status Iblt::CheckCompatible(const Iblt& other) const {
@@ -183,33 +58,8 @@ Status Iblt::CheckCompatible(const Iblt& other) const {
   return Status::OK();
 }
 
-Status Iblt::SubtractInPlace(const Iblt& other) {
-  Status compatible = CheckCompatible(other);
-  if (!compatible.ok()) return compatible;
-  // The checksum domain is the narrower of the two masks: masking commutes
-  // with XOR, so narrowing a full-width table is exactly the table that
-  // would have been built under the narrow mask in the first place.
-  const uint64_t eff = checksum_mask_ & other.checksum_mask_;
-  int64_t* counts = Counts();
-  const int64_t* other_counts = other.Counts();
-  for (size_t i = 0; i < num_cells_; ++i) counts[i] -= other_counts[i];
-  uint64_t* keys = KeyXors();
-  const uint64_t* other_keys = other.KeyXors();
-  for (size_t i = 0; i < num_cells_; ++i) keys[i] ^= other_keys[i];
-  uint64_t* checksums = ChecksumXors();
-  const uint64_t* other_checksums = other.ChecksumXors();
-  for (size_t i = 0; i < num_cells_; ++i) {
-    checksums[i] = (checksums[i] ^ other_checksums[i]) & eff;
-  }
-  for (size_t i = 3 * num_cells_; i < arena_.size(); ++i) {
-    arena_[i] ^= other.arena_[i];
-  }
-  checksum_mask_ = eff;
-  return Status::OK();
-}
-
 // RSR_ZERO_ALLOC: warm folds reuse dst's arena
-// (IbltFoldTest.WarmFoldIntoPerformsZeroAllocations).
+// (CellTableFoldTest.WarmFoldIntoPerformsZeroAllocations).
 Status Iblt::FoldInto(Iblt* dst) const {
   if (dst->params_.num_hashes != params_.num_hashes ||
       dst->params_.value_size != params_.value_size ||
@@ -217,64 +67,39 @@ Status Iblt::FoldInto(Iblt* dst) const {
       dst->params_.seed != params_.seed) {
     return Status::InvalidArgument("IBLT parameter mismatch in FoldInto");
   }
-  const size_t src_sub = cells_per_subtable_;
-  const size_t dst_sub = dst->cells_per_subtable_;
-  if (dst_sub == 0 || src_sub % dst_sub != 0) {
-    return Status::InvalidArgument(
-        "FoldInto target cells-per-subtable must divide the source's");
-  }
-  const size_t q = static_cast<size_t>(params_.num_hashes);
+  // Counts add; key/checksum/value words XOR.
   const size_t value_size = params_.value_size;
-  const size_t blocks = src_sub / dst_sub;
-  // Source subtable block r covers cells [r*dst_sub, (r+1)*dst_sub); cell
-  // r*dst_sub + i folds onto dst cell i. Counts add; key/checksum/value
-  // words XOR — both order-insensitive, so the result equals a cold build at
-  // dst's size (the index polynomials depend on the seed only). No
-  // allocation.
-  for (size_t j = 0; j < q; ++j) {
-    const size_t src_base = j * src_sub;
-    const size_t dst_base = j * dst_sub;
-    for (size_t r = 0; r < blocks; ++r) {
-      const size_t src_off = src_base + r * dst_sub;
-      const int64_t* const sc = Counts() + src_off;
-      const uint64_t* const sk = KeyXors() + src_off;
-      const uint64_t* const ss = ChecksumXors() + src_off;
-      int64_t* const dc = dst->Counts() + dst_base;
-      uint64_t* const dk = dst->KeyXors() + dst_base;
-      uint64_t* const dsum = dst->ChecksumXors() + dst_base;
-      if (r == 0) {
-        for (size_t i = 0; i < dst_sub; ++i) dc[i] = sc[i];
-        for (size_t i = 0; i < dst_sub; ++i) dk[i] = sk[i];
-        for (size_t i = 0; i < dst_sub; ++i) dsum[i] = ss[i];
-      } else {
-        for (size_t i = 0; i < dst_sub; ++i) dc[i] += sc[i];
-        for (size_t i = 0; i < dst_sub; ++i) dk[i] ^= sk[i];
-        for (size_t i = 0; i < dst_sub; ++i) dsum[i] ^= ss[i];
-      }
-      if (value_size > 0) {
+  RSR_RETURN_NOT_OK(sketch_internal::FoldBlocks(
+      geometry_, dst->geometry_,
+      [&](size_t src_off, size_t dst_off, size_t len, bool first) {
+        const int64_t* const sc = Counts() + src_off;
+        const uint64_t* const sk = KeyXors() + src_off;
+        const uint64_t* const ss = ChecksumXors() + src_off;
         const uint8_t* const sv = ValueXors() + src_off * value_size;
-        uint8_t* const dv = dst->ValueXors() + dst_base * value_size;
-        if (r == 0) {
-          for (size_t i = 0; i < dst_sub * value_size; ++i) dv[i] = sv[i];
-        } else {
-          for (size_t i = 0; i < dst_sub * value_size; ++i) dv[i] ^= sv[i];
+        int64_t* const dc = dst->Counts() + dst_off;
+        uint64_t* const dk = dst->KeyXors() + dst_off;
+        uint64_t* const dsum = dst->ChecksumXors() + dst_off;
+        uint8_t* const dv = dst->ValueXors() + dst_off * value_size;
+        if (first) {
+          std::copy(sc, sc + len, dc);
+          std::copy(sk, sk + len, dk);
+          std::copy(ss, ss + len, dsum);
+          std::copy(sv, sv + len * value_size, dv);
+          return;
         }
-      }
-    }
-  }
+        for (size_t i = 0; i < len; ++i) {
+          dc[i] = sketch_internal::WrapAdd(dc[i], sc[i]);
+        }
+        for (size_t i = 0; i < len; ++i) dk[i] ^= sk[i];
+        for (size_t i = 0; i < len; ++i) dsum[i] ^= ss[i];
+        for (size_t i = 0; i < len * value_size; ++i) dv[i] ^= sv[i];
+      }));
   dst->checksum_mask_ = checksum_mask_;  // folding preserves the domain
   return Status::OK();
 }
 
 Result<Iblt> Iblt::FoldTo(size_t num_cells) const {
-  if (num_cells == 0) {
-    return Status::InvalidArgument("FoldTo requires num_cells > 0");
-  }
-  IbltParams target = params_;
-  target.num_cells = num_cells;
-  Iblt dst(target);
-  RSR_RETURN_NOT_OK(FoldInto(&dst));
-  return dst;
+  return sketch_internal::FoldTableTo(*this, num_cells);
 }
 
 IbltDecodeResult Iblt::Decode() const {
@@ -291,7 +116,7 @@ Result<IbltDecodeResult> Iblt::DecodeDiff(const Iblt& other) const {
 }
 
 void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
-  const size_t total = num_cells_;
+  const size_t total = num_cells();
   const size_t value_size = params_.value_size;
   const uint64_t salt = checksum_salt_;
   // Peel under the mask intersection: a parsed compact table carries a
@@ -301,11 +126,8 @@ void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
       subtrahend == nullptr ? checksum_mask_
                             : (checksum_mask_ & subtrahend->checksum_mask_);
 
-  // Reusable peel buffers, pooled PER THREAD rather than per instance: this
-  // is what makes Decode/DecodeDiff reentrant — concurrent sessions call
-  // StrataEstimator::EstimateDiff against one shared snapshot's estimators,
-  // each thread peeling on its own pool — while warm repeat decodes on a
-  // thread still allocate nothing (capacity persists across calls).
+  // Peel scratch is per thread (the engine's one policy): decode stays const
+  // and reentrant, and warm repeat decodes on a thread allocate nothing.
   struct DecodeScratch {
     std::vector<uint64_t> arena;
     std::vector<uint32_t> queue;  // FIFO via head index
@@ -322,9 +144,12 @@ void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
   uint64_t* checksums = scratch_.arena.data() + 2 * total;
   uint8_t* values =
       reinterpret_cast<uint8_t*>(scratch_.arena.data() + 3 * total);
+  const CellSlabs slabs{counts, keys, checksums, values, value_size};
   if (subtrahend != nullptr) {
     const int64_t* sub_counts = subtrahend->Counts();
-    for (size_t i = 0; i < total; ++i) counts[i] -= sub_counts[i];
+    for (size_t i = 0; i < total; ++i) {
+      counts[i] = sketch_internal::WrapSub(counts[i], sub_counts[i]);
+    }
     for (size_t i = total; i < scratch_.arena.size(); ++i) {
       scratch_.arena[i] ^= subtrahend->arena_[i];
     }
@@ -335,8 +160,8 @@ void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
   }
 
   // Cached per-cell purity flags, invalidated incrementally as cells mutate:
-  // IsPure's checksum re-derivation happens once per cell state change
-  // instead of once per queue visit.
+  // the checksum re-derivation happens once per cell state change instead of
+  // once per queue visit.
   scratch_.pure.assign(total, 0);
   scratch_.queued.assign(total, 0);
   uint8_t* pure = scratch_.pure.data();
@@ -346,19 +171,16 @@ void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
         (counts[cell] == 1 || counts[cell] == -1) &&
         checksums[cell] == (ChecksumWithSalt(keys[cell], salt) & eff_mask);
   };
-
-  scratch_.queue.clear();
-  size_t head = 0;
+  std::vector<uint32_t>& queue = scratch_.queue;
+  queue.clear();
   for (size_t c = 0; c < total; ++c) {
     refresh_pure(c);
     if (pure[c]) {
-      scratch_.queue.push_back(static_cast<uint32_t>(c));
+      queue.push_back(static_cast<uint32_t>(c));
       queued[c] = 1;
     }
   }
 
-  size_t cells[kMaxHashes];
-  const size_t q = static_cast<size_t>(params_.num_hashes);
   // A complete peel can never extract more distinct entries than cells (a
   // q-uniform hypergraph with more edges than vertices has a nonempty
   // 2-core), so anything past this bound is a corrupted table oscillating
@@ -366,8 +188,8 @@ void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
   // elsewhere, re-purifying each other forever). Cut the loop and report
   // the decode incomplete instead of growing without bound.
   const size_t max_entries = 2 * total + 16;
-  while (head < scratch_.queue.size()) {
-    size_t cell = scratch_.queue[head++];
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const size_t cell = queue[head];
     queued[cell] = 0;
     if (!pure[cell]) continue;
     if (result->entries.size() >= max_entries) {
@@ -385,25 +207,16 @@ void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
 
     // Remove the entry from all its cells (including this one), refreshing
     // purity only for the touched cells.
-    int direction = entry.count > 0 ? -1 : +1;
-    uint64_t checksum = ChecksumWithSalt(entry.key, salt) & eff_mask;
-    CellsOf(entry.key, cells);
-    for (size_t j = 0; j < q; ++j) {
-      size_t touched = cells[j];
-      counts[touched] += direction;
-      keys[touched] ^= entry.key;
-      checksums[touched] ^= checksum;
-      if (value_size > 0) {
-        uint8_t* dst = values + touched * value_size;
-        const uint8_t* src = entry.value.data();
-        for (size_t i = 0; i < value_size; ++i) dst[i] ^= src[i];
-      }
+    const int64_t direction = entry.count > 0 ? -1 : +1;
+    const uint64_t checksum = ChecksumWithSalt(entry.key, salt) & eff_mask;
+    geometry_.ForEachCell(entry.key, [&](size_t touched) {
+      slabs.Apply(touched, entry.key, checksum, entry.value.data(), direction);
       refresh_pure(touched);
       if (!queued[touched] && pure[touched]) {
-        scratch_.queue.push_back(static_cast<uint32_t>(touched));
+        queue.push_back(static_cast<uint32_t>(touched));
         queued[touched] = 1;
       }
-    }
+    });
     result->entries.push_back(std::move(entry));
   }
 
@@ -445,7 +258,7 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   const uint64_t* keys = KeyXors();
   const uint64_t* checksums = ChecksumXors();
   if (codec == WireCodec::kClassic) {
-    for (size_t c = 0; c < num_cells_; ++c) {
+    for (size_t c = 0; c < num_cells(); ++c) {
       w->PutSignedVarint64(counts[c]);
       // Empty cells (the common case in a well-sized sketch) cost 3 bytes.
       w->PutVarint64(keys[c]);
@@ -454,7 +267,7 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
       }
     }
     if (params_.value_size > 0) {
-      w->PutBytes(ValueXors(), num_cells_ * params_.value_size);
+      w->PutBytes(ValueXors(), num_cells() * params_.value_size);
     }
     return;
   }
@@ -467,7 +280,7 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   // elision that re-derived checksums from keys was rejected because it
   // hands corrupted streams guaranteed-valid pure cells, defeating the
   // probabilistic guard the peeler's termination rests on.
-  const size_t m = num_cells_;
+  const size_t m = num_cells();
   const size_t value_size = params_.value_size;
   const uint8_t* values = ValueXors();
   const int chk_bits =
@@ -558,13 +371,7 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   w->PutU8(static_cast<uint8_t>(key_bits));
   w->PutU8(static_cast<uint8_t>(key_shift));
   if (sparse) {
-    for (size_t base = 0; base < m; base += 8) {
-      uint8_t bits = 0;
-      for (size_t i = 0; i < 8 && base + i < m; ++i) {
-        if (included_cells[base + i]) bits |= static_cast<uint8_t>(1u << i);
-      }
-      w->PutU8(bits);
-    }
+    sketch_internal::WriteInclusionBitmap(w, included_cells.data(), m);
   }
   for (size_t c = 0; c < m; ++c) {
     if (sparse && !included_cells[c]) continue;
@@ -590,7 +397,7 @@ Result<Iblt> Iblt::ReadFrom(ByteReader* r, const IbltParams& params,
   uint64_t* keys = table.KeyXors();
   uint64_t* checksums = table.ChecksumXors();
   if (codec == WireCodec::kClassic) {
-    for (size_t c = 0; c < table.num_cells_; ++c) {
+    for (size_t c = 0; c < table.num_cells(); ++c) {
       counts[c] = r->GetSignedVarint64();
       keys[c] = r->GetVarint64();
       uint64_t checksum = 0;
@@ -601,13 +408,13 @@ Result<Iblt> Iblt::ReadFrom(ByteReader* r, const IbltParams& params,
     }
     if (table.params_.value_size > 0) {
       r->GetBytes(table.ValueXors(),
-                  table.num_cells_ * table.params_.value_size);
+                  table.num_cells() * table.params_.value_size);
     }
     RSR_RETURN_NOT_OK(r->status());
     return table;
   }
 
-  const size_t m = table.num_cells_;
+  const size_t m = table.num_cells();
   const size_t value_size = table.params_.value_size;
   const uint8_t mode = r->GetU8();
   const int chk_bits = r->GetU8();
@@ -627,22 +434,8 @@ Result<Iblt> Iblt::ReadFrom(ByteReader* r, const IbltParams& params,
       chk_bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << chk_bits) - 1);
   const bool sparse = mode == 1;
   static thread_local std::vector<uint8_t> included;
-  included.assign(m, 1);
-  if (sparse) {
-    for (size_t base = 0; base < m; base += 8) {
-      uint8_t bits = r->GetU8();
-      for (size_t i = 0; i < 8; ++i) {
-        if (base + i < m) {
-          included[base + i] = (bits >> i) & 1;
-        } else if ((bits >> i) & 1) {
-          // Nonzero padding past the last cell: two distinct streams would
-          // decode identically, so reject for canonical round-trips.
-          r->Invalidate();
-        }
-      }
-    }
-    RSR_RETURN_NOT_OK(r->status());
-  }
+  RSR_RETURN_NOT_OK(
+      sketch_internal::ReadInclusionBitmap(r, sparse, m, &included));
   for (size_t c = 0; c < m; ++c) {
     if (!included[c]) continue;
     counts[c] = static_cast<int64_t>(static_cast<uint64_t>(cnt_base) +

@@ -6,19 +6,14 @@
 // symmetric difference and can be decoded by peeling cells with count +-1
 // whose checksum validates. Theorem 2.6: m cells decode cm keys whp.
 //
-// Engineering invariants (see sketch/README.md):
-//   - Cell storage is a single struct-of-arrays arena (one allocation):
-//     counts | key XORs | checksum XORs | value XORs, each a contiguous slab.
-//   - Update/UpdateMany/CellsOf never allocate: cell indices live in a fixed
-//     inline array, the checksum mask is hoisted into the constructor, and
-//     values are raw byte spans.
-//   - Decode peels in place on a reusable scratch pool (no per-call copy of
-//     the Iblt object) with per-cell purity flags maintained incrementally.
-//     The pool is thread_local, so Decode/DecodeDiff are const AND reentrant:
-//     any number of threads may decode the same table (or disjoint tables)
-//     concurrently, and warm repeat decodes on one thread still allocate
-//     nothing. StrataEstimator::EstimateDiff inherits this — concurrent
-//     sessions negotiate against one shared snapshot's estimators.
+// The q-partitioned layout, index polynomials, sharded build, fold walk and
+// compact bitmap are the shared cell-table engine (sketch/cell_table.h).
+// This file holds the XOR algebra: the cell fields, the update op, purity,
+// the peel loop and the codec field encodings. Cell storage is one
+// struct-of-arrays arena (counts | key XORs | checksum XORs | value XORs).
+// Decode peels on thread_local scratch, so Decode/DecodeDiff are const and
+// reentrant: concurrent sessions estimate against one shared snapshot's
+// strata (StrataEstimator::EstimateDiff).
 //
 // NOTE (multiset semantics): two XOR-inserts of the same key self-cancel.
 // Callers reconciling multisets must salt keys with a canonical occurrence
@@ -27,16 +22,12 @@
 #ifndef RSR_SKETCH_IBLT_H_
 #define RSR_SKETCH_IBLT_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "hashing/checksum.h"
-#include "hashing/kindependent.h"
-#include "sketch/cell_index.h"
-#include "util/fastdiv.h"
-#include "util/random.h"
+#include "sketch/cell_table.h"
 #include "util/serialize.h"
 #include "util/status.h"
 #include "util/wire.h"
@@ -76,53 +67,12 @@ struct IbltDecodeResult {
 
 class Iblt {
  public:
-  /// Upper bound on q. Cell indices for one key fit in a fixed inline array,
-  /// so deriving them never allocates.
-  static constexpr int kMaxHashes = 8;
+  static constexpr int kMaxHashes = sketch_internal::kMaxHashes;
 
   explicit Iblt(const IbltParams& params);
 
-  /// Copies transfer the cell arena and hash configuration but NOT the
-  /// pooled shard scratch (snapshot copies are made to be read or
-  /// subtracted, and scratch regrows lazily on first use; decode scratch is
-  /// thread_local and never part of the instance). Moves keep everything.
-  Iblt(const Iblt& other)
-      : params_(other.params_),
-        num_cells_(other.num_cells_),
-        cells_per_subtable_(other.cells_per_subtable_),
-        subtable_mod_(other.subtable_mod_),
-        checksum_mask_(other.checksum_mask_),
-        checksum_salt_(other.checksum_salt_),
-        index_coeffs_(other.index_coeffs_),
-        arena_(other.arena_) {}
-  Iblt& operator=(const Iblt& other) {
-    if (this != &other) {
-      params_ = other.params_;
-      num_cells_ = other.num_cells_;
-      cells_per_subtable_ = other.cells_per_subtable_;
-      subtable_mod_ = other.subtable_mod_;
-      checksum_mask_ = other.checksum_mask_;
-      checksum_salt_ = other.checksum_salt_;
-      index_coeffs_ = other.index_coeffs_;
-      arena_ = other.arena_;
-    }
-    return *this;
-  }
-  Iblt(Iblt&&) = default;
-  Iblt& operator=(Iblt&&) = default;
-
   void Insert(uint64_t key) { Update(key, nullptr, +1); }
   void Delete(uint64_t key) { Update(key, nullptr, -1); }
-  void InsertKv(uint64_t key, const std::vector<uint8_t>& value) {
-    RSR_CHECK_EQ(value.size(), params_.value_size);
-    // data() of an empty vector may be non-null; normalize for Update's
-    // (value != nullptr) == (value_size > 0) contract.
-    Update(key, value.empty() ? nullptr : value.data(), +1);
-  }
-  void DeleteKv(uint64_t key, const std::vector<uint8_t>& value) {
-    RSR_CHECK_EQ(value.size(), params_.value_size);
-    Update(key, value.empty() ? nullptr : value.data(), -1);
-  }
 
   /// Hot path: applies `direction` copies of (key, value) to the key's q
   /// cells. `value` must point at params().value_size readable bytes and may
@@ -131,33 +81,18 @@ class Iblt {
 
   /// Batched hot path for whole buckets of value-less keys (protocol layers
   /// insert entire salted-key vectors at once). Never allocates.
-  void UpdateMany(std::span<const uint64_t> keys, int direction);
+  void UpdateMany(std::span<const uint64_t> keys, int direction) {
+    UpdateManySharded(keys, direction, /*num_shards=*/1, /*num_threads=*/1);
+  }
   void InsertMany(std::span<const uint64_t> keys) { UpdateMany(keys, +1); }
   void DeleteMany(std::span<const uint64_t> keys) { UpdateMany(keys, -1); }
 
-  /// Sharded intra-table batched update (value-less keys, like UpdateMany).
-  /// Mirrors Riblt::UpdateManySharded: hash every key once, stable-counting-
-  /// sort the pending updates into per-cell-block buckets as packed
-  /// (cell, key index) words, then each shard applies its contiguous range
-  /// of blocks (ShardBoundary over blocks). Each cell is written by exactly one shard
-  /// in global key order, and XOR/add cell arithmetic is order-insensitive
-  /// anyway, so the table is byte-identical to sequential UpdateMany for
-  /// every (num_shards, num_threads). All scratch is pooled on the
-  /// instance: warm repeat calls allocate nothing.
+  /// Sharded intra-table batched update (value-less keys, like UpdateMany):
+  /// the engine's 3-phase schedule (sketch_internal::ShardedUpdate). The
+  /// table is byte-identical to sequential UpdateMany for every
+  /// (num_shards, num_threads); warm repeat calls allocate nothing.
   void UpdateManySharded(std::span<const uint64_t> keys, int direction,
                          size_t num_shards, size_t num_threads);
-  void InsertManySharded(std::span<const uint64_t> keys, size_t num_shards,
-                         size_t num_threads) {
-    UpdateManySharded(keys, +1, num_shards, num_threads);
-  }
-  void DeleteManySharded(std::span<const uint64_t> keys, size_t num_shards,
-                         size_t num_threads) {
-    UpdateManySharded(keys, -1, num_shards, num_threads);
-  }
-
-  /// Cell-wise subtraction (sketch-difference style reconciliation).
-  /// Requires identical parameters and seed.
-  Status SubtractInPlace(const Iblt& other);
 
   /// Fold-down projection (XOR analogue of Riblt::FoldInto): overwrites
   /// `dst` (same num_hashes/value_size/checksum_bytes/seed) with this table
@@ -183,36 +118,48 @@ class Iblt {
   Result<IbltDecodeResult> DecodeDiff(const Iblt& other) const;
 
   const IbltParams& params() const { return params_; }
-  size_t num_cells() const { return num_cells_; }
+  size_t num_cells() const { return geometry_.num_cells(); }
 
   /// Effective checksum mask. Locally-built tables carry the full
   /// ChecksumMask(checksum_bytes); tables parsed from a compact stream carry
-  /// the narrower truncated mask, and every combining op (SubtractInPlace,
-  /// DecodeDiff) works under the mask intersection — XOR commutes with
-  /// masking, so a narrowed table is indistinguishable from one built narrow.
+  /// the narrower truncated mask, and DecodeDiff works under the mask
+  /// intersection: XOR commutes with masking, so a narrowed table is
+  /// indistinguishable from one built narrow.
   uint64_t checksum_mask() const { return checksum_mask_; }
 
   /// Exact wire size accounting. kClassic is the historical byte layout;
   /// kCompact bit-packs cells (frame-of-reference counts, width-packed key
-  /// XORs, checksums truncated to 16 + bit_width(cells), sparse bitmap mode
-  /// with pure-cell checksum elision). See docs/WIRE.md. The default codec
+  /// XORs, checksums truncated to 16 + bit_width(cells), sparse bitmap
+  /// mode). See docs/WIRE.md. The default codec
   /// follows RSR_WIRE_CODEC so test suites re-run under either codec.
   void WriteTo(ByteWriter* w, WireCodec codec = DefaultWireCodec()) const;
   static Result<Iblt> ReadFrom(ByteReader* r, const IbltParams& params,
                                WireCodec codec = DefaultWireCodec());
 
  private:
-  /// Degree of the cell-index polynomials (3-independent hashing; see the
-  /// constructor note). Their coefficients live in one flat array so CellsOf
-  /// shares the x^2 power across all q evaluations.
-  static constexpr int kIndexIndependence = 3;
+  /// Raw views of the cell slabs, taken once per call so per-cell stores
+  /// never force the table's members to reload. Apply is the XOR update op
+  /// on one cell: the update, sharded-build and peel paths all run it.
+  struct CellSlabs {
+    int64_t* counts;
+    uint64_t* keys;
+    uint64_t* checksums;
+    uint8_t* values;
+    size_t value_size;
 
-  /// Update without the value/value_size contract check; UpdateMany hoists
-  /// the check out of its per-key loop.
-  void UpdateUnchecked(uint64_t key, const uint8_t* value, int direction);
-
-  /// Fills out[0..num_hashes) with the key's (distinct-subtable) cells.
-  void CellsOf(uint64_t key, size_t* out) const;
+    void Apply(size_t cell, uint64_t key, uint64_t checksum,
+               const uint8_t* value, int64_t direction) const {
+      counts[cell] = sketch_internal::WrapAdd(counts[cell], direction);
+      keys[cell] ^= key;
+      checksums[cell] ^= checksum;
+      uint8_t* const dst = values + cell * value_size;
+      for (size_t i = 0; i < value_size; ++i) dst[i] ^= value[i];
+    }
+  };
+  CellSlabs Slabs() {
+    return {Counts(), KeyXors(), ChecksumXors(), ValueXors(),
+            params_.value_size};
+  }
 
   Status CheckCompatible(const Iblt& other) const;
 
@@ -223,105 +170,43 @@ class Iblt {
   const int64_t* Counts() const {
     return reinterpret_cast<const int64_t*>(arena_.data());
   }
-  uint64_t* KeyXors() { return arena_.data() + num_cells_; }
-  const uint64_t* KeyXors() const { return arena_.data() + num_cells_; }
-  uint64_t* ChecksumXors() { return arena_.data() + 2 * num_cells_; }
+  uint64_t* KeyXors() { return arena_.data() + num_cells(); }
+  const uint64_t* KeyXors() const { return arena_.data() + num_cells(); }
+  uint64_t* ChecksumXors() { return arena_.data() + 2 * num_cells(); }
   const uint64_t* ChecksumXors() const {
-    return arena_.data() + 2 * num_cells_;
+    return arena_.data() + 2 * num_cells();
   }
   uint8_t* ValueXors() {
-    return reinterpret_cast<uint8_t*>(arena_.data() + 3 * num_cells_);
+    return reinterpret_cast<uint8_t*>(arena_.data() + 3 * num_cells());
   }
   const uint8_t* ValueXors() const {
-    return reinterpret_cast<const uint8_t*>(arena_.data() + 3 * num_cells_);
+    return reinterpret_cast<const uint8_t*>(arena_.data() + 3 * num_cells());
   }
 
   void PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const;
 
   IbltParams params_;
-  size_t num_cells_ = 0;
-  size_t cells_per_subtable_ = 0;
-  FastDiv61 subtable_mod_;      // division-free h % cells_per_subtable_
+  sketch_internal::CellGeometry geometry_;
   uint64_t checksum_mask_ = 0;  // hoisted from the per-update path
   uint64_t checksum_salt_ = 0;  // pre-mixed seed for key checksums
-  /// index_coeffs_[j*kIndexIndependence + i] multiplies x^i in subtable j's
-  /// index polynomial (flat, inline: no pointer chase on the hot path).
-  std::array<uint64_t, kIndexIndependence * kMaxHashes> index_coeffs_{};
-  /// Single allocation: 3*num_cells_ words of counts/keys/checksums followed
-  /// by ceil(num_cells_*value_size/8) words of value bytes.
+  /// Single allocation: 3*num_cells() words of counts/keys/checksums
+  /// followed by ceil(num_cells()*value_size/8) words of value bytes.
   std::vector<uint64_t> arena_;
-
-  // Peel scratch is thread_local inside PeelInto (iblt.cc), NOT an instance
-  // member: decode must be reentrant across threads sharing one table
-  // (snapshot estimators), and per-thread pooling still keeps warm decodes
-  // allocation-free.
-
-  /// Pooled buffers for UpdateManySharded (see Riblt::ShardScratch).
-  struct ShardScratch {
-    std::vector<uint32_t> cells;        // n * num_hashes, key-major
-    std::vector<uint64_t> checksums;    // n
-    std::vector<uint32_t> bucket_counts;  // key_blocks x num_blocks
-    std::vector<size_t> bucket_offsets;   // key_blocks x num_blocks cursors
-    std::vector<size_t> block_starts;     // num_blocks + 1
-    std::vector<uint64_t> entries;        // n * num_hashes, cell<<32 | index
-  };
-  ShardScratch shard_scratch_;
+  sketch_internal::ScratchPool<sketch_internal::ShardScratch> shard_scratch_;
 };
 
 // ---- Hot path (inline) ------------------------------------------------------
-
-inline void Iblt::CellsOf(uint64_t key, size_t* out) const {
-  const uint64_t xr = Mod61(key);
-  const uint64_t x2 = sketch_internal::SquareMod61(xr);
-  const size_t sub = cells_per_subtable_;
-  const uint64_t* c = index_coeffs_.data();
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  for (size_t j = 0; j < q; ++j, c += kIndexIndependence) {
-    uint64_t h = sketch_internal::EvalIndexPoly(c, xr, x2);
-    out[j] = j * sub + static_cast<size_t>(subtable_mod_.Mod(h));
-  }
-}
 
 // RSR_ZERO_ALLOC: the sketch hot path pinned by
 // SketchHotPathTest.IbltUpdateDoesNotAllocate.
 inline void Iblt::Update(uint64_t key, const uint8_t* value, int direction) {
   RSR_CHECK((value != nullptr) == (params_.value_size > 0));
-  UpdateUnchecked(key, value, direction);
-}
-
-// RSR_ZERO_ALLOC: same contract as Update (which inlines into this).
-inline void Iblt::UpdateUnchecked(uint64_t key, const uint8_t* value,
-                                  int direction) {
-  uint64_t checksum = ChecksumWithSalt(key, checksum_salt_) & checksum_mask_;
-  // Cell derivation is fused into the update loop (same math as CellsOf) so
-  // each cell's memory traffic overlaps the next polynomial evaluation. All
-  // member state is hoisted into locals: the slab stores go through uint64_t
-  // pointers that the compiler must otherwise assume alias the members.
-  const uint64_t xr = Mod61(key);
-  const uint64_t x2 = sketch_internal::SquareMod61(xr);
-  const size_t sub = cells_per_subtable_;
-  const FastDiv61 mod = subtable_mod_;
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  // __restrict: the slabs never alias the coefficient array or each other,
-  // so the compiler may hoist coefficient loads past the slab stores.
-  int64_t* __restrict counts = Counts();
-  uint64_t* __restrict keys = KeyXors();
-  uint64_t* __restrict checksums = ChecksumXors();
-  uint8_t* __restrict values = ValueXors();
-  const size_t value_size = params_.value_size;
-  const uint64_t* __restrict c = index_coeffs_.data();
-  size_t base = 0;
-  for (size_t j = 0; j < q; ++j, c += kIndexIndependence, base += sub) {
-    uint64_t h = sketch_internal::EvalIndexPoly(c, xr, x2);
-    size_t cell = base + static_cast<size_t>(mod.Mod(h));
-    counts[cell] += direction;
-    keys[cell] ^= key;
-    checksums[cell] ^= checksum;
-    if (value_size > 0) {
-      uint8_t* dst = values + cell * value_size;
-      for (size_t i = 0; i < value_size; ++i) dst[i] ^= value[i];
-    }
-  }
+  const uint64_t checksum =
+      ChecksumWithSalt(key, checksum_salt_) & checksum_mask_;
+  const CellSlabs slabs = Slabs();
+  geometry_.ForEachCell(key, [&](size_t cell) {
+    slabs.Apply(cell, key, checksum, value, direction);
+  });
 }
 
 }  // namespace rsr

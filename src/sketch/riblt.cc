@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "hashing/checksum.h"
-#include "sketch/cell_index.h"
-#include "util/parallel.h"
 
 namespace rsr {
 
@@ -28,46 +26,41 @@ using U128 = unsigned __int128;
 /// comparisons run under `mask` — tables parsed from a compact stream only
 /// know their checksum sums mod the wire width, and truncation commutes
 /// with the wrapping sums, so comparing residues is exactly as sound as the
-/// narrower width's false-positive rate.
+/// narrower width's false-positive rate. |C| is unsigned, so a hostile
+/// count of INT64_MIN is just a large magnitude.
 inline bool CellIsPure(const int64_t* counts, const U128* key_sums,
                        const U128* checksum_sums, uint64_t mixed_salt,
-                       U128 mask, size_t cell, int64_t* copies, uint64_t* key,
-                       int* side) {
-  int64_t c = counts[cell];
+                       U128 mask, size_t cell, uint64_t* copies,
+                       uint64_t* key, int* side) {
+  const int64_t c = counts[cell];
   if (c == 0) return false;
-  int s = c > 0 ? +1 : -1;
+  const int s = c > 0 ? +1 : -1;
   // Normalize the wrapped sums to the inserting direction.
-  U128 key_sum = s > 0 ? key_sums[cell] : static_cast<U128>(0) - key_sums[cell];
-  U128 checksum_sum = s > 0 ? checksum_sums[cell]
-                            : static_cast<U128>(0) - checksum_sums[cell];
-  if (c == 1 || c == -1) {
+  const U128 key_sum =
+      s > 0 ? key_sums[cell] : static_cast<U128>(0) - key_sums[cell];
+  const U128 checksum_sum =
+      s > 0 ? checksum_sums[cell] : static_cast<U128>(0) - checksum_sums[cell];
+  const uint64_t magnitude = sketch_internal::Magnitude(c);
+  uint64_t k = 0;
+  if (magnitude == 1) {
     // |count| == 1 dominates every peel (each decoded pair is visited q
     // times at magnitude 1): purity degenerates to exact-match checks, no
-    // 128-bit division. Identical accept/reject to the general path with
-    // magnitude = 1.
+    // 128-bit division. Identical accept/reject to the general path.
     if (key_sum > static_cast<U128>(~uint64_t{0})) return false;
-    uint64_t k = static_cast<uint64_t>(key_sum);
-    if (((checksum_sum - static_cast<U128>(CellChecksum(k, mixed_salt))) &
-         mask) != 0) {
-      return false;
-    }
-    *copies = 1;
-    *key = k;
-    *side = s;
-    return true;
+    k = static_cast<uint64_t>(key_sum);
+  } else {
+    if (key_sum % magnitude != 0) return false;
+    const U128 candidate = key_sum / magnitude;
+    if (candidate > ~uint64_t{0}) return false;
+    k = static_cast<uint64_t>(candidate);
   }
-  U128 magnitude = static_cast<U128>(c > 0 ? c : -c);
-  if (key_sum % magnitude != 0) return false;
-  U128 candidate = key_sum / magnitude;
-  if (candidate > ~uint64_t{0}) return false;
-  uint64_t k = static_cast<uint64_t>(candidate);
   // checksum(K/C) == S/C, equivalently S == C * checksum(K/C) (mod mask+1).
-  if (((checksum_sum -
-        magnitude * static_cast<U128>(CellChecksum(k, mixed_salt))) &
+  if (((checksum_sum - static_cast<U128>(magnitude) *
+                           static_cast<U128>(CellChecksum(k, mixed_salt))) &
        mask) != 0) {
     return false;
   }
-  *copies = c > 0 ? c : -c;
+  *copies = magnitude;
   *key = k;
   *side = s;
   return true;
@@ -103,85 +96,57 @@ inline size_t SignedVarint64Size(int64_t v) {
 
 }  // namespace
 
-Riblt::Riblt(const RibltParams& params) : params_(params) {
+Riblt::Riblt(const RibltParams& params)
+    : params_(params),
+      geometry_(params.num_cells, params.num_hashes, params.seed,
+                0x1ab17c0ffeeULL) {
   RSR_CHECK(params.num_hashes >= 3);  // Algorithm 1 requires q >= 3.
-  RSR_CHECK(params.num_hashes <= kMaxHashes);
-  RSR_CHECK(params.num_cells > 0);
   RSR_CHECK(params.dim > 0);
   RSR_CHECK(params.delta >= 1);
-  size_t q = static_cast<size_t>(params.num_hashes);
-  cells_per_subtable_ = (params.num_cells + q - 1) / q;
-  if (cells_per_subtable_ == 0) cells_per_subtable_ = 1;
-  size_t total = cells_per_subtable_ * q;
+  const size_t total = geometry_.num_cells();
   params_.num_cells = total;
-  subtable_mod_ = FastDiv61(cells_per_subtable_);
   checksum_salt_ = ChecksumSalt(params_.seed);
-
-  Rng rng(params.seed ^ 0x1ab17c0ffeeULL);
-  for (size_t j = 0; j < q; ++j) {
-    // Same RNG stream and polynomials as ever; coefficients are copied into
-    // the flat inline array that CellsOf evaluates.
-    KIndependentHash h = KIndependentHash::Draw(kIndexIndependence, &rng);
-    for (int i = 0; i < kIndexIndependence; ++i) {
-      index_coeffs_[j * kIndexIndependence + static_cast<size_t>(i)] =
-          h.coeffs()[i];
-    }
-  }
-
   counts_.assign(total, 0);
   key_sums_.assign(total, 0);
   checksum_sums_.assign(total, 0);
   value_sums_.assign(total * params_.dim, 0);
 }
 
-void Riblt::CellsOf(uint64_t key, size_t* out) const {
-  const uint64_t xr = Mod61(key);
-  const uint64_t x2 = sketch_internal::SquareMod61(xr);
-  const size_t sub = cells_per_subtable_;
-  const uint64_t* c = index_coeffs_.data();
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  for (size_t j = 0; j < q; ++j, c += kIndexIndependence) {
-    uint64_t h = sketch_internal::EvalIndexPoly(c, xr, x2);
-    out[j] = j * sub + static_cast<size_t>(subtable_mod_.Mod(h));
+// RSR_ZERO_ALLOC: same contract as Update.
+inline void Riblt::CellSlabs::Apply(size_t cell, U128 key_term,
+                                    U128 checksum_term, const Coord* value,
+                                    int direction) const {
+  counts[cell] = sketch_internal::WrapAdd(counts[cell], direction);
+  int64_t* const vs = value_sums + cell * dim;
+  if (direction > 0) {
+    key_sums[cell] += key_term;
+    checksum_sums[cell] += checksum_term;
+    for (size_t i = 0; i < dim; ++i) {
+      vs[i] = sketch_internal::WrapAdd(vs[i], value[i]);
+    }
+  } else {
+    key_sums[cell] -= key_term;
+    checksum_sums[cell] -= checksum_term;
+    for (size_t i = 0; i < dim; ++i) {
+      vs[i] = sketch_internal::WrapSub(vs[i], value[i]);
+    }
   }
 }
 
 // RSR_ZERO_ALLOC: pinned by SketchHotPathTest.RibltUpdateDoesNotAllocate.
 void Riblt::Update(uint64_t key, const Coord* value, int direction) {
-  U128 key_term = key;
-  U128 checksum_term = CellChecksum(key, checksum_salt_);
-  size_t cells[kMaxHashes];
-  CellsOf(key, cells);
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  const size_t dim = params_.dim;
-  for (size_t j = 0; j < q; ++j) {
-    size_t cell = cells[j];
-    counts_[cell] += direction;
-    if (direction > 0) {
-      key_sums_[cell] += key_term;
-      checksum_sums_[cell] += checksum_term;
-    } else {
-      key_sums_[cell] -= key_term;  // wraps mod 2^128; consistent throughout
-      checksum_sums_[cell] -= checksum_term;
-    }
-    int64_t* vs = &value_sums_[cell * dim];
-    for (size_t i = 0; i < dim; ++i) {
-      vs[i] += direction > 0 ? value[i] : -value[i];
-    }
-  }
+  const U128 checksum_term = CellChecksum(key, checksum_salt_);
+  const CellSlabs slabs = Slabs();
+  geometry_.ForEachCell(key, [&](size_t cell) {
+    slabs.Apply(cell, key, checksum_term, value, direction);
+  });
 }
 
 // RSR_ZERO_ALLOC: pinned by SketchHotPathTest.RibltUpdateManyDoesNotAllocate.
 void Riblt::UpdateMany(std::span<const uint64_t> keys, const PointStore& values,
                        int direction) {
-  RSR_CHECK_EQ(keys.size(), values.size());
-  if (keys.empty()) return;
-  RSR_CHECK_EQ(values.dim(), params_.dim);
-  const Coord* rows = values.coord_data();
-  const size_t dim = params_.dim;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    Update(keys[i], rows + i * dim, direction);
-  }
+  UpdateManySharded(keys, values, direction, /*num_shards=*/1,
+                    /*num_threads=*/1);
 }
 
 void Riblt::UpdateManySharded(std::span<const uint64_t> keys,
@@ -190,140 +155,18 @@ void Riblt::UpdateManySharded(std::span<const uint64_t> keys,
   RSR_CHECK_EQ(keys.size(), values.size());
   if (keys.empty()) return;
   RSR_CHECK_EQ(values.dim(), params_.dim);
-  const size_t total = counts_.size();
-  if (num_shards > total) num_shards = total;
-  if (num_shards <= 1) {
-    UpdateMany(keys, values, direction);
-    return;
-  }
-  const size_t n = keys.size();
-  const size_t q = static_cast<size_t>(params_.num_hashes);
   const size_t dim = params_.dim;
-
-  // Phase 1: hash every key once — q cell indices plus the checksum term —
-  // sharded over keys. Pooled buffers: repeat calls with the same batch
-  // shape allocate nothing.
-  shard_scratch_.cells.resize(n * q);
-  shard_scratch_.checksums.resize(n);
-  uint32_t* const cell_idx = shard_scratch_.cells.data();
-  uint64_t* const checksums = shard_scratch_.checksums.data();
-  const uint64_t* const key_data = keys.data();
-  ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
-    size_t cells[kMaxHashes];
-    for (size_t i = begin; i < end; ++i) {
-      CellsOf(key_data[i], cells);
-      for (size_t j = 0; j < q; ++j) {
-        cell_idx[i * q + j] = static_cast<uint32_t>(cells[j]);
-      }
-      checksums[i] = CellChecksum(key_data[i], checksum_salt_);
-    }
-  });
-
-  // Cell blocks: fixed-size sub-ranges sized so one block's slab slice
-  // (counts + key_sums + checksum_sums + value_sums) is ~0.5 MiB, i.e.
-  // comfortably L2-resident while a bucket is applied. Pure function of the
-  // table geometry — independent of num_shards and num_threads.
-  const size_t cell_bytes =
-      sizeof(int64_t) + 2 * sizeof(U128) + dim * sizeof(int64_t);
-  size_t block_shift = 0;
-  while ((size_t{1} << (block_shift + 1)) * cell_bytes <= (size_t{1} << 19)) {
-    ++block_shift;
-  }
-  const size_t num_blocks = ((total - 1) >> block_shift) + 1;
-  if (num_shards > num_blocks) num_shards = num_blocks;
-
-  // Phase 2: stable counting sort of the n*q pending updates into per-block
-  // buckets as packed (cell << 32 | key index) words — 8 bytes per update,
-  // so the partition itself is a light streaming pass. Key blocks give the
-  // scatter deterministic parallelism: per-(key block, cell block) counts
-  // turn into exact cursors, and each worker writes its own cursor ranges.
-  // Bucket order is (key block, key) = global key order — the sort is
-  // stable.
-  const size_t key_blocks = num_shards < n ? num_shards : n;
-  shard_scratch_.bucket_counts.assign(key_blocks * num_blocks, 0);
-  shard_scratch_.bucket_offsets.resize(key_blocks * num_blocks);
-  shard_scratch_.block_starts.resize(num_blocks + 1);
-  shard_scratch_.entries.resize(n * q);
-  uint32_t* const bucket_counts = shard_scratch_.bucket_counts.data();
-  size_t* const bucket_offsets = shard_scratch_.bucket_offsets.data();
-  size_t* const block_starts = shard_scratch_.block_starts.data();
-  uint64_t* const entries = shard_scratch_.entries.data();
   const Coord* const rows = values.coord_data();
-
-  ParallelShards(key_blocks, num_threads, [&](size_t kb_begin, size_t kb_end) {
-    for (size_t kb = kb_begin; kb < kb_end; ++kb) {
-      uint32_t* const cnt = bucket_counts + kb * num_blocks;
-      const size_t i_end = ShardBoundary(n, key_blocks, kb + 1);
-      for (size_t i = ShardBoundary(n, key_blocks, kb); i < i_end; ++i) {
-        for (size_t j = 0; j < q; ++j) {
-          ++cnt[cell_idx[i * q + j] >> block_shift];
-        }
-      }
-    }
-  });
-  size_t run = 0;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    block_starts[b] = run;
-    for (size_t kb = 0; kb < key_blocks; ++kb) {
-      bucket_offsets[kb * num_blocks + b] = run;
-      run += bucket_counts[kb * num_blocks + b];
-    }
-  }
-  block_starts[num_blocks] = run;
-  ParallelShards(key_blocks, num_threads, [&](size_t kb_begin, size_t kb_end) {
-    for (size_t kb = kb_begin; kb < kb_end; ++kb) {
-      size_t* const cursor = bucket_offsets + kb * num_blocks;
-      const size_t i_end = ShardBoundary(n, key_blocks, kb + 1);
-      for (size_t i = ShardBoundary(n, key_blocks, kb); i < i_end; ++i) {
-        for (size_t j = 0; j < q; ++j) {
-          const uint32_t cell = cell_idx[i * q + j];
-          const size_t pos = cursor[cell >> block_shift]++;
-          entries[pos] = (static_cast<uint64_t>(cell) << 32) | i;
-        }
-      }
-    }
-  });
-
-  // Phase 3: each shard owns a contiguous range of cell blocks and applies
-  // their buckets in order. Every cell is written by exactly one shard (no
-  // atomics) and sees its updates in global key order; the arithmetic
-  // (wrapping 128-bit sums, int64 adds) matches Update verbatim, so the
-  // table is byte-identical to UpdateMany's for every shard/thread count.
-  // The bucket reads stream and the cell writes stay inside one L2-sized
-  // block slice at a time — that locality is what keeps large-table builds
-  // fast even single-threaded.
-  int64_t* const counts = counts_.data();
-  U128* const key_sums = key_sums_.data();
-  U128* const checksum_sums = checksum_sums_.data();
-  int64_t* const value_sums = value_sums_.data();
-  ParallelShards(num_shards, num_threads, [&](size_t s_begin, size_t s_end) {
-    for (size_t shard = s_begin; shard < s_end; ++shard) {
-      const size_t pos_begin =
-          block_starts[ShardBoundary(num_blocks, num_shards, shard)];
-      const size_t pos_end =
-          block_starts[ShardBoundary(num_blocks, num_shards, shard + 1)];
-      for (size_t pos = pos_begin; pos < pos_end; ++pos) {
-        const uint64_t e = entries[pos];
-        const size_t cell = e >> 32;
-        const size_t i = static_cast<uint32_t>(e);
-        counts[cell] += direction;
-        const U128 key_term = key_data[i];
-        const U128 checksum_term = checksums[i];
-        if (direction > 0) {
-          key_sums[cell] += key_term;
-          checksum_sums[cell] += checksum_term;
-        } else {
-          key_sums[cell] -= key_term;
-          checksum_sums[cell] -= checksum_term;
-        }
-        const Coord* const value = rows + i * dim;
-        int64_t* const vs = value_sums + cell * dim;
-        for (size_t d = 0; d < dim; ++d) {
-          vs[d] += direction > 0 ? value[d] : -value[d];
-        }
-      }
-    }
-  });
+  const uint64_t salt = checksum_salt_;
+  const CellSlabs slabs = Slabs();
+  sketch_internal::ShardedUpdate(
+      geometry_, keys,
+      /*cell_bytes=*/sizeof(int64_t) + 2 * sizeof(U128) + dim * sizeof(int64_t),
+      num_shards, num_threads, shard_scratch_.get(),
+      [=](uint64_t key) { return CellChecksum(key, salt); },
+      [=](size_t cell, size_t i, uint64_t checksum) {
+        slabs.Apply(cell, keys[i], checksum, rows + i * dim, direction);
+      });
 }
 
 Status Riblt::AddScaled(const Riblt& other, int64_t factor) {
@@ -334,27 +177,27 @@ Status Riblt::AddScaled(const Riblt& other, int64_t factor) {
       other.params_.seed != params_.seed) {
     return Status::InvalidArgument("RIBLT parameter mismatch in AddScaled");
   }
-  // 128-bit sums wrap consistently under negative factors. The combined
+  // All sums wrap consistently under negative factors. The combined
   // table's checksum comparisons are only sound at the narrower of the two
   // operands' widths, so the masks intersect.
   checksum_mask_ &= other.checksum_mask_;
   value_mask_ &= other.value_mask_;
-  U128 factor128 = factor >= 0
-                       ? static_cast<U128>(factor)
-                       : static_cast<U128>(0) - static_cast<U128>(-factor);
+  const U128 factor128 = static_cast<U128>(static_cast<__int128>(factor));
   for (size_t c = 0; c < counts_.size(); ++c) {
-    counts_[c] += factor * other.counts_[c];
+    counts_[c] = sketch_internal::WrapAdd(
+        counts_[c], sketch_internal::WrapMul(factor, other.counts_[c]));
     key_sums_[c] += factor128 * other.key_sums_[c];
     checksum_sums_[c] += factor128 * other.checksum_sums_[c];
   }
   for (size_t i = 0; i < value_sums_.size(); ++i) {
-    value_sums_[i] += factor * other.value_sums_[i];
+    value_sums_[i] = sketch_internal::WrapAdd(
+        value_sums_[i], sketch_internal::WrapMul(factor, other.value_sums_[i]));
   }
   return Status::OK();
 }
 
 // RSR_ZERO_ALLOC: warm folds reuse dst's slabs
-// (RibltFoldTest.WarmFoldIntoPerformsZeroAllocations).
+// (CellTableFoldTest.WarmFoldIntoPerformsZeroAllocations).
 Status Riblt::FoldInto(Riblt* dst) const {
   if (dst->params_.num_hashes != params_.num_hashes ||
       dst->params_.dim != params_.dim ||
@@ -362,66 +205,47 @@ Status Riblt::FoldInto(Riblt* dst) const {
       dst->params_.seed != params_.seed) {
     return Status::InvalidArgument("RIBLT parameter mismatch in FoldInto");
   }
-  const size_t src_sub = cells_per_subtable_;
-  const size_t dst_sub = dst->cells_per_subtable_;
-  if (dst_sub == 0 || src_sub % dst_sub != 0) {
-    return Status::InvalidArgument(
-        "FoldInto target cells-per-subtable must divide the source's");
-  }
+  // Every field adds (int64 adds, wrapping 128-bit adds).
+  const size_t dim = params_.dim;
+  RSR_RETURN_NOT_OK(sketch_internal::FoldBlocks(
+      geometry_, dst->geometry_,
+      [&](size_t src_off, size_t dst_off, size_t len, bool first) {
+        const int64_t* const sc = counts_.data() + src_off;
+        const U128* const sk = key_sums_.data() + src_off;
+        const U128* const ss = checksum_sums_.data() + src_off;
+        const int64_t* const sv = value_sums_.data() + src_off * dim;
+        int64_t* const dc = dst->counts_.data() + dst_off;
+        U128* const dk = dst->key_sums_.data() + dst_off;
+        U128* const dsum = dst->checksum_sums_.data() + dst_off;
+        int64_t* const dv = dst->value_sums_.data() + dst_off * dim;
+        if (first) {
+          std::copy(sc, sc + len, dc);
+          std::copy(sk, sk + len, dk);
+          std::copy(ss, ss + len, dsum);
+          std::copy(sv, sv + len * dim, dv);
+          return;
+        }
+        for (size_t i = 0; i < len; ++i) {
+          dc[i] = sketch_internal::WrapAdd(dc[i], sc[i]);
+        }
+        for (size_t i = 0; i < len; ++i) dk[i] += sk[i];
+        for (size_t i = 0; i < len; ++i) dsum[i] += ss[i];
+        for (size_t i = 0; i < len * dim; ++i) {
+          dv[i] = sketch_internal::WrapAdd(dv[i], sv[i]);
+        }
+      }));
   dst->checksum_mask_ = checksum_mask_;
   dst->value_mask_ = value_mask_;
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  const size_t dim = params_.dim;
-  const size_t blocks = src_sub / dst_sub;
-  // Overwrite-then-accumulate, subtable by subtable. Block r of the source
-  // subtable covers cells [r*dst_sub, (r+1)*dst_sub); cell r*dst_sub + i
-  // lands on dst cell i (== (r*dst_sub + i) mod dst_sub), so each block adds
-  // slab-contiguously — no modulo in the loop. Sums are associative and
-  // commutative (int64 adds, wrapping 128-bit adds), so the fold equals a
-  // cold build at dst's size regardless of update order. No allocation.
-  for (size_t j = 0; j < q; ++j) {
-    const size_t src_base = j * src_sub;
-    const size_t dst_base = j * dst_sub;
-    for (size_t r = 0; r < blocks; ++r) {
-      const size_t src_off = src_base + r * dst_sub;
-      const int64_t* const sc = counts_.data() + src_off;
-      const U128* const sk = key_sums_.data() + src_off;
-      const U128* const ss = checksum_sums_.data() + src_off;
-      const int64_t* const sv = value_sums_.data() + src_off * dim;
-      int64_t* const dc = dst->counts_.data() + dst_base;
-      U128* const dk = dst->key_sums_.data() + dst_base;
-      U128* const dsum = dst->checksum_sums_.data() + dst_base;
-      int64_t* const dv = dst->value_sums_.data() + dst_base * dim;
-      if (r == 0) {
-        for (size_t i = 0; i < dst_sub; ++i) dc[i] = sc[i];
-        for (size_t i = 0; i < dst_sub; ++i) dk[i] = sk[i];
-        for (size_t i = 0; i < dst_sub; ++i) dsum[i] = ss[i];
-        for (size_t i = 0; i < dst_sub * dim; ++i) dv[i] = sv[i];
-      } else {
-        for (size_t i = 0; i < dst_sub; ++i) dc[i] += sc[i];
-        for (size_t i = 0; i < dst_sub; ++i) dk[i] += sk[i];
-        for (size_t i = 0; i < dst_sub; ++i) dsum[i] += ss[i];
-        for (size_t i = 0; i < dst_sub * dim; ++i) dv[i] += sv[i];
-      }
-    }
-  }
   return Status::OK();
 }
 
 Result<Riblt> Riblt::FoldTo(size_t num_cells) const {
-  if (num_cells == 0) {
-    return Status::InvalidArgument("FoldTo requires num_cells > 0");
-  }
-  RibltParams target = params_;
-  target.num_cells = num_cells;
-  Riblt dst(target);
-  RSR_RETURN_NOT_OK(FoldInto(&dst));
-  return dst;
+  return sketch_internal::FoldTableTo(*this, num_cells);
 }
 
 Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
                          RibltDecodeResult* out) const {
-  const size_t total = counts_.size();
+  const size_t total = num_cells();
   const size_t dim = params_.dim;
 
   // Reset the result in place. A reused result keeps its arena and key
@@ -436,8 +260,21 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
   out->complete = false;
   out->peel_steps = 0;
 
-  // Peel on pooled scratch copies of the cell slabs; after the first call
-  // these are memcpys into existing capacity, not allocations.
+  // Peel on per-thread scratch copies of the cell slabs (the engine's one
+  // peel-scratch policy): concurrent decodes of one table never share
+  // buffers, and after a thread's first call these are memcpys into
+  // existing capacity, not allocations.
+  struct DecodeScratch {
+    std::vector<int64_t> counts;
+    std::vector<U128> key_sums;
+    std::vector<U128> checksum_sums;
+    std::vector<int64_t> value_sums;
+    std::vector<uint32_t> queue;  // FIFO via head index
+    std::vector<uint8_t> queued;
+    std::vector<double> average;       // dim-sized per-peel workspace
+    std::vector<int64_t> cell_values;  // dim-sized per-peel workspace
+  };
+  static thread_local DecodeScratch scratch_;
   scratch_.counts.assign(counts_.begin(), counts_.end());
   scratch_.key_sums.assign(key_sums_.begin(), key_sums_.end());
   scratch_.checksum_sums.assign(checksum_sums_.begin(), checksum_sums_.end());
@@ -449,18 +286,21 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
 
   // FIFO breadth-first order (RIBLT requirement 1): cells become eligible in
   // the order they turn pure, and are processed first-come first-served.
-  scratch_.queue.clear();
-  scratch_.queued.assign(total, 0);
-  uint8_t* queued = scratch_.queued.data();
-  size_t head = 0;
-  int64_t copies;
+  const U128 mask = checksum_mask_;
+  auto is_pure = [&](size_t c, uint64_t* n, uint64_t* k, int* s) {
+    return CellIsPure(counts, key_sums, checksum_sums, checksum_salt_, mask,
+                      c, n, k, s);
+  };
+  uint64_t copies;
   uint64_t key;
   int side;
-  const U128 mask = checksum_mask_;
+  std::vector<uint32_t>& queue = scratch_.queue;
+  queue.clear();
+  scratch_.queued.assign(total, 0);
+  uint8_t* queued = scratch_.queued.data();
   for (size_t c = 0; c < total; ++c) {
-    if (CellIsPure(counts, key_sums, checksum_sums, checksum_salt_, mask, c,
-                   &copies, &key, &side)) {
-      scratch_.queue.push_back(static_cast<uint32_t>(c));
+    if (is_pure(c, &copies, &key, &side)) {
+      queue.push_back(static_cast<uint32_t>(c));
       queued[c] = 1;
     }
   }
@@ -469,23 +309,18 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
   scratch_.cell_values.resize(dim);
   double* average = scratch_.average.data();
   int64_t* cell_values = scratch_.cell_values.data();
-  size_t cells[kMaxHashes];
-  const size_t q = static_cast<size_t>(params_.num_hashes);
 
   size_t total_pairs = 0;
-  while (head < scratch_.queue.size()) {
-    size_t cell = scratch_.queue[head++];
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const size_t cell = queue[head];
     queued[cell] = 0;
-    if (!CellIsPure(counts, key_sums, checksum_sums, checksum_salt_, mask,
-                    cell, &copies, &key, &side)) {
-      continue;
-    }
+    if (!is_pure(cell, &copies, &key, &side)) continue;
     ++out->peel_steps;
 
-    total_pairs += static_cast<size_t>(copies);
-    if (total_pairs > max_pairs) {
+    if (copies > max_pairs - total_pairs) {
       return Status::DecodeFailure("RIBLT decoded more than max_pairs pairs");
     }
+    total_pairs += copies;
 
     // Extract |C| pairs. Average value = value_sum / count (signed), then
     // clamp into [0, Delta] and randomized-round each fractional coordinate
@@ -496,7 +331,8 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
     // whose diff multiplicity (plus propagated error) stays below ~8 —
     // and clamping bounds the damage exactly as for Figure 1 value error.
     const int64_t* vs = &value_sums[cell * dim];
-    int64_t signed_count = side > 0 ? copies : -copies;
+    const double signed_count =
+        side > 0 ? static_cast<double>(copies) : -static_cast<double>(copies);
     const uint64_t vmask = value_mask_;
     const uint64_t vhalf = (vmask >> 1) + 1;
     for (size_t j = 0; j < dim; ++j) {
@@ -506,8 +342,7 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
         v = res >= vhalf ? static_cast<int64_t>(res - vmask - 1)
                          : static_cast<int64_t>(res);
       }
-      average[j] =
-          static_cast<double>(v) / static_cast<double>(signed_count);
+      average[j] = static_cast<double>(v) / signed_count;
       if (average[j] < 0.0) average[j] = 0.0;
       double delta = static_cast<double>(params_.delta);
       if (average[j] > delta) average[j] = delta;
@@ -515,7 +350,7 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
     PointStore& values_out = side > 0 ? out->inserted : out->deleted;
     std::vector<uint64_t>& keys_out =
         side > 0 ? out->inserted_keys : out->deleted_keys;
-    for (int64_t copy = 0; copy < copies; ++copy) {
+    for (uint64_t copy = 0; copy < copies; ++copy) {
       Coord* row = values_out.AppendRow();
       for (size_t j = 0; j < dim; ++j) {
         double floor_val = std::floor(average[j]);
@@ -534,29 +369,25 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
     // Subtract the *exact cell contents* (including any accumulated value
     // error) from every cell of the key — this is the error-propagation
     // mechanism of Figure 1.
-    int64_t cell_count = counts[cell];
-    U128 cell_key_sum = key_sums[cell];
-    U128 cell_checksum_sum = checksum_sums[cell];
+    const int64_t cell_count = counts[cell];
+    const U128 cell_key_sum = key_sums[cell];
+    const U128 cell_checksum_sum = checksum_sums[cell];
     for (size_t j = 0; j < dim; ++j) cell_values[j] = vs[j];
-    CellsOf(key, cells);
-    for (size_t j = 0; j < q; ++j) {
-      size_t touched = cells[j];
-      counts[touched] -= cell_count;
+    geometry_.ForEachCell(key, [&](size_t touched) {
+      counts[touched] = sketch_internal::WrapSub(counts[touched], cell_count);
       key_sums[touched] -= cell_key_sum;
       checksum_sums[touched] -= cell_checksum_sum;
       int64_t* tv = &value_sums[touched * dim];
-      for (size_t i = 0; i < dim; ++i) tv[i] -= cell_values[i];
-      if (!queued[touched]) {
-        int64_t c2;
-        uint64_t k2;
-        int s2;
-        if (CellIsPure(counts, key_sums, checksum_sums, checksum_salt_, mask,
-                       touched, &c2, &k2, &s2)) {
-          scratch_.queue.push_back(static_cast<uint32_t>(touched));
-          queued[touched] = 1;
-        }
+      for (size_t i = 0; i < dim; ++i) {
+        tv[i] = sketch_internal::WrapSub(tv[i], cell_values[i]);
       }
-    }
+      uint64_t n2, k2;
+      int s2;
+      if (!queued[touched] && is_pure(touched, &n2, &k2, &s2)) {
+        queue.push_back(static_cast<uint32_t>(touched));
+        queued[touched] = 1;
+      }
+    });
   }
 
   // Success: all counts and key material drained. Value residue from
@@ -603,7 +434,7 @@ int RibltCompactChecksumBits(size_t num_cells, U128 mask) {
 // RSR_ZERO_ALLOC: warm serves encode into a pooled writer
 // (SyncServerTest.WarmServeSerializeDoesNotAllocate).
 void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
-  const size_t m = counts_.size();
+  const size_t m = num_cells();
   const size_t dim = params_.dim;
   if (codec == WireCodec::kClassic) {
     // Varint-coded sums: an empty cell costs 3 bytes + d value bytes; tables
@@ -662,11 +493,12 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   }
   static thread_local std::vector<int64_t> val_mu;
   val_mu.assign(dim, 0);
-  if (static_cast<int64_t>(total_cnt) != 0) {
-    for (size_t j = 0; j < dim; ++j) {
-      val_mu[j] = static_cast<int64_t>(total_val[j]) /
-                  static_cast<int64_t>(total_cnt);
-    }
+  const int64_t cnt_sum = static_cast<int64_t>(total_cnt);
+  for (size_t j = 0; cnt_sum != 0 && j < dim; ++j) {
+    // INT64_MIN / -1 overflows; the wrapped quotient is the same slope.
+    const int64_t val_sum = static_cast<int64_t>(total_val[j]);
+    val_mu[j] = cnt_sum == -1 ? sketch_internal::WrapSub(0, val_sum)
+                              : val_sum / cnt_sum;
   }
   auto val_resid = [&](size_t c, size_t j) {
     return static_cast<int64_t>(
@@ -821,15 +653,7 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
       w->PutU8(val_bits[j]);
     }
   }
-  if (sparse) {
-    for (size_t base = 0; base < m; base += 8) {
-      uint8_t bits = 0;
-      for (size_t i = 0; i < 8 && base + i < m; ++i) {
-        if (included[base + i]) bits |= static_cast<uint8_t>(1u << i);
-      }
-      w->PutU8(bits);
-    }
-  }
+  if (sparse) sketch_internal::WriteInclusionBitmap(w, included.data(), m);
   for (size_t c = 0; c < m; ++c) {
     if (sparse && !included[c]) continue;
     w->PutBits(static_cast<uint64_t>(counts_[c]) -
@@ -855,7 +679,7 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
 Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
                               WireCodec codec) {
   Riblt table(params);
-  const size_t m = table.counts_.size();
+  const size_t m = table.num_cells();
   const size_t dim = table.params_.dim;
   if (codec == WireCodec::kClassic) {
     for (size_t c = 0; c < m; ++c) {
@@ -914,22 +738,8 @@ Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
                              : (static_cast<U128>(1) << chk_bits) - 1;
   const bool sparse = (mode & 1) != 0;
   static thread_local std::vector<uint8_t> included;
-  included.assign(m, 1);
-  if (sparse) {
-    for (size_t base = 0; base < m; base += 8) {
-      uint8_t bits = r->GetU8();
-      for (size_t i = 0; i < 8; ++i) {
-        if (base + i < m) {
-          included[base + i] = (bits >> i) & 1;
-        } else if ((bits >> i) & 1) {
-          // Nonzero bitmap padding would let distinct streams decode
-          // identically; reject for canonical round-trips.
-          r->Invalidate();
-        }
-      }
-    }
-  }
-  RSR_RETURN_NOT_OK(r->status());
+  RSR_RETURN_NOT_OK(
+      sketch_internal::ReadInclusionBitmap(r, sparse, m, &included));
   for (size_t c = 0; c < m; ++c) {
     if (!included[c]) continue;
     table.counts_[c] = static_cast<int64_t>(

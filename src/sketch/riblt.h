@@ -21,22 +21,21 @@
 // to the extracted values and the subtraction step forwards it to the key's
 // other cells.
 //
-// Engineering invariants mirror the classic IBLT (see sketch/README.md):
-// Update/UpdateMany never allocate (inline cell-index array, raw coordinate
-// spans), and Decode peels in place on a reusable scratch pool instead of
-// deep-copying the table, which makes Decode non-reentrant per instance.
+// Everything else (q-partitioned layout, index polynomials, sharded build,
+// fold walk, compact bitmap) is the cell-table engine shared with the IBLT
+// (sketch/cell_table.h). Update/UpdateMany never allocate, and DecodeInto
+// peels on thread_local scratch, so it is const and reentrant: any number of
+// threads may decode one table concurrently.
 #ifndef RSR_SKETCH_RIBLT_H_
 #define RSR_SKETCH_RIBLT_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "geometry/point.h"
 #include "geometry/point_store.h"
-#include "hashing/kindependent.h"
-#include "util/fastdiv.h"
+#include "sketch/cell_table.h"
 #include "util/random.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -77,57 +76,9 @@ struct RibltDecodeResult {
 
 class Riblt {
  public:
-  /// Upper bound on q; cell indices fit in a fixed inline array so the
-  /// update path never allocates.
-  static constexpr int kMaxHashes = 8;
+  static constexpr int kMaxHashes = sketch_internal::kMaxHashes;
 
   explicit Riblt(const RibltParams& params);
-
-  /// Copies transfer the cell arrays and hash configuration but NOT the
-  /// pooled decode/shard scratch (snapshot copies serve reads; scratch
-  /// regrows lazily on the copy's first Decode). Moves keep everything.
-  Riblt(const Riblt& other)
-      : params_(other.params_),
-        cells_per_subtable_(other.cells_per_subtable_),
-        subtable_mod_(other.subtable_mod_),
-        checksum_salt_(other.checksum_salt_),
-        checksum_mask_(other.checksum_mask_),
-        value_mask_(other.value_mask_),
-        index_coeffs_(other.index_coeffs_),
-        counts_(other.counts_),
-        key_sums_(other.key_sums_),
-        checksum_sums_(other.checksum_sums_),
-        value_sums_(other.value_sums_) {}
-  Riblt& operator=(const Riblt& other) {
-    if (this != &other) {
-      params_ = other.params_;
-      cells_per_subtable_ = other.cells_per_subtable_;
-      subtable_mod_ = other.subtable_mod_;
-      checksum_salt_ = other.checksum_salt_;
-      checksum_mask_ = other.checksum_mask_;
-      value_mask_ = other.value_mask_;
-      index_coeffs_ = other.index_coeffs_;
-      counts_ = other.counts_;
-      key_sums_ = other.key_sums_;
-      checksum_sums_ = other.checksum_sums_;
-      value_sums_ = other.value_sums_;
-    }
-    return *this;
-  }
-  Riblt(Riblt&&) = default;
-  Riblt& operator=(Riblt&&) = default;
-
-  /// Adds (key, value). Requires value.dim() == params.dim and coordinates in
-  /// [0, delta].
-  void Insert(uint64_t key, const Point& value) {
-    RSR_CHECK_EQ(value.dim(), params_.dim);
-    Update(key, value.coords().data(), +1);
-  }
-  /// Deletes (key, value): subtracts the same contributions.
-  void Delete(uint64_t key, const Point& value) {
-    RSR_CHECK_EQ(value.dim(), params_.dim);
-    Update(key, value.coords().data(), -1);
-  }
 
   /// Hot path: applies one copy of (key, value) in `direction`. `value` must
   /// point at params().dim coordinates. Never allocates.
@@ -146,37 +97,19 @@ class Riblt {
     UpdateMany(keys, values, -1);
   }
 
-  /// Sharded intra-table batched update. The cell array is partitioned into
-  /// `num_shards` contiguous sub-ranges (util/parallel.h ShardBoundary over
-  /// fixed-size cell blocks — a pure function of (num_cells, num_shards)
-  /// only). The batch runs in three deterministic phases: (1) hash every
-  /// key once (cell indices + checksum term, sharded over keys); (2)
-  /// partition the n*q pending updates into per-cell-block buckets via a
-  /// stable counting sort of compact (cell, key index) records; (3) each
-  /// shard applies its own blocks' buckets in order. Every cell is written by
-  /// exactly one shard — no atomics — and within each cell the updates
-  /// arrive in global key order (the counting sort is stable), so the
-  /// resulting table (and its WriteTo bytes) is IDENTICAL to sequential
-  /// UpdateMany for every (num_shards, num_threads) combination. Beyond
-  /// parallelism, the blocking converts the sequential build's
-  /// latency-bound random scatter over the whole table into streaming
+  /// Sharded intra-table batched update: the engine's 3-phase schedule
+  /// (sketch_internal::ShardedUpdate: hash once, stable partition into
+  /// L2-sized cell blocks, apply per block). The table, and its WriteTo
+  /// bytes, are identical to sequential UpdateMany for every
+  /// (num_shards, num_threads). Beyond parallelism, the blocking turns the
+  /// sequential build's random scatter over the whole table into streaming
   /// bucket reads plus cache-resident cell writes, which speeds up large
-  /// tables even single-threaded (BM_RibltBuildSharded). All scratch is
-  /// pooled on the instance: repeat calls with the same batch shape
-  /// allocate nothing.
+  /// tables even single-threaded (BM_RibltBuildSharded). Scratch is pooled
+  /// on the instance: repeat calls with the same batch shape allocate
+  /// nothing.
   void UpdateManySharded(std::span<const uint64_t> keys,
                          const PointStore& values, int direction,
                          size_t num_shards, size_t num_threads);
-  void InsertManySharded(std::span<const uint64_t> keys,
-                         const PointStore& values, size_t num_shards,
-                         size_t num_threads) {
-    UpdateManySharded(keys, values, +1, num_shards, num_threads);
-  }
-  void DeleteManySharded(std::span<const uint64_t> keys,
-                         const PointStore& values, size_t num_shards,
-                         size_t num_threads) {
-    UpdateManySharded(keys, values, -1, num_shards, num_threads);
-  }
 
   /// Cell-wise linear combination: this += factor * other. Factors may be
   /// negative. Requires identical parameters/seed. The multi-party
@@ -203,7 +136,8 @@ class Riblt {
   /// per-subtable size must divide ours).
   Result<Riblt> FoldTo(size_t num_cells) const;
 
-  /// FIFO peeling (on a pooled scratch copy; the sketch stays intact). Caps:
+  /// FIFO peeling (on a thread_local scratch copy; the sketch stays intact,
+  /// and concurrent calls on one table are safe). Caps:
   /// decode fails (returns DecodeFailure) if more than max_pairs total or
   /// max_per_side pairs for either side are extracted, or if the table does
   /// not drain. `rng` drives the randomized rounding of averaged values
@@ -217,7 +151,7 @@ class Riblt {
                                    Rng* rng) const;
 
   const RibltParams& params() const { return params_; }
-  size_t num_cells() const { return counts_.size(); }
+  size_t num_cells() const { return geometry_.num_cells(); }
 
   /// Effective checksum-sum modulus minus one: all purity/drain comparisons
   /// run mod (mask+1). Locally built tables use the full 128-bit sums; a
@@ -245,57 +179,38 @@ class Riblt {
  private:
   using U128 = unsigned __int128;
 
-  /// Degree of the cell-index polynomials (3-independent hashing, matching
-  /// the classic IBLT); coefficients live in one flat inline array.
-  static constexpr int kIndexIndependence = 3;
+  /// Raw views of the cell slabs, taken once per call so per-cell stores
+  /// never force the table's members to reload. Apply is the sum update op
+  /// on one cell (sums wrap mod 2^128 / 2^64); the update and sharded-build
+  /// paths both run it.
+  struct CellSlabs {
+    int64_t* counts;
+    U128* key_sums;
+    U128* checksum_sums;
+    int64_t* value_sums;
+    size_t dim;
 
-  /// Fills out[0..num_hashes) with the key's (distinct-subtable) cells.
-  void CellsOf(uint64_t key, size_t* out) const;
+    void Apply(size_t cell, U128 key_term, U128 checksum_term,
+               const Coord* value, int direction) const;
+  };
+  CellSlabs Slabs() {
+    return {counts_.data(), key_sums_.data(), checksum_sums_.data(),
+            value_sums_.data(), params_.dim};
+  }
 
   RibltParams params_;
-  size_t cells_per_subtable_ = 0;
-  FastDiv61 subtable_mod_;      // division-free h % cells_per_subtable_
+  sketch_internal::CellGeometry geometry_;
   uint64_t checksum_salt_ = 0;  // pre-mixed seed for cell checksums
   /// See checksum_mask(); narrowed only by compact-stream parses and by
   /// combining with a narrowed operand.
   unsigned __int128 checksum_mask_ = ~static_cast<unsigned __int128>(0);
   /// See value_mask(); same narrowing rules as checksum_mask_.
   uint64_t value_mask_ = ~static_cast<uint64_t>(0);
-  /// index_coeffs_[j*kIndexIndependence + i] multiplies x^i in subtable j's
-  /// index polynomial.
-  std::array<uint64_t, kIndexIndependence * kMaxHashes> index_coeffs_{};
   std::vector<int64_t> counts_;
   std::vector<U128> key_sums_;
   std::vector<U128> checksum_sums_;
   std::vector<int64_t> value_sums_;  // flat: cell * dim + coordinate
-
-  /// Reusable peel buffers; sized on first Decode, then allocation-free
-  /// (apart from the extracted pairs themselves).
-  struct DecodeScratch {
-    std::vector<int64_t> counts;
-    std::vector<U128> key_sums;
-    std::vector<U128> checksum_sums;
-    std::vector<int64_t> value_sums;
-    std::vector<uint32_t> queue;  // FIFO via head index
-    std::vector<uint8_t> queued;
-    std::vector<double> average;      // dim-sized per-peel workspace
-    std::vector<int64_t> cell_values; // dim-sized per-peel workspace
-  };
-  mutable DecodeScratch scratch_;
-
-  /// Pooled buffers for UpdateManySharded (cell indices and key indices as
-  /// uint32: protocol tables and batches are far below 2^32). `entries`
-  /// holds the partitioned updates as packed (cell << 32 | key index)
-  /// words, bucketed by cell block in stable key order.
-  struct ShardScratch {
-    std::vector<uint32_t> cells;        // n * num_hashes, key-major
-    std::vector<uint64_t> checksums;    // n
-    std::vector<uint32_t> bucket_counts;  // key_blocks x num_blocks
-    std::vector<size_t> bucket_offsets;   // key_blocks x num_blocks cursors
-    std::vector<size_t> block_starts;     // num_blocks + 1
-    std::vector<uint64_t> entries;        // n * num_hashes
-  };
-  ShardScratch shard_scratch_;
+  sketch_internal::ScratchPool<sketch_internal::ShardScratch> shard_scratch_;
 };
 
 }  // namespace rsr

@@ -7,6 +7,7 @@
 // run, where an out-of-bounds GetBits or unbounded peel fails loudly.
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,7 +62,7 @@ TEST(CorruptionSweepTest, IbltSurvivesTruncationAndBitFlips) {
     for (size_t i = 0; i < value.size(); ++i) {
       value[i] = static_cast<uint8_t>(key * 13 + i);
     }
-    table.InsertKv(key * 0x9e3779b97f4a7c15ull, value);
+    table.Update(key * 0x9e3779b97f4a7c15ull, value.data(), +1);
   }
   for (WireCodec codec : kCodecs) {
     ByteWriter w;
@@ -220,6 +221,197 @@ TEST(CorruptionSweepTest, TruncationPoisonsOrShortensEveryForm) {
         EXPECT_FALSE(parsed.status().ok());
       }
     }
+  }
+}
+
+// ---- Hostile cell counts ----------------------------------------------------
+//
+// Classic streams carry each cell count as a full-range signed varint, so a
+// peer can send INT64_MIN or INT64_MAX. Count arithmetic wraps (two's
+// complement) and purity magnitudes are unsigned, so parsing, peeling,
+// subtracting a local table and updating a received one must end in an
+// error status or an incomplete decode, never in signed-overflow UB (the
+// ASan/UBSan CI leg runs with -fno-sanitize-recover=undefined).
+
+constexpr int64_t kHostileCounts[] = {std::numeric_limits<int64_t>::min(),
+                                      std::numeric_limits<int64_t>::max()};
+
+/// Rewrites a classic IBLT stream: the first cell holding +1 and the first
+/// holding -1 keep their counts (pure cells the peeler will extract), every
+/// other nonzero cell gets `hostile`, so peeling those pure cells touches
+/// hostile counts.
+std::vector<uint8_t> WithHostileIbltCounts(const std::vector<uint8_t>& in,
+                                           const IbltParams& params,
+                                           int64_t hostile) {
+  Iblt shape(params);
+  ByteReader r(in);
+  ByteWriter w;
+  bool kept_plus = false, kept_minus = false;
+  for (size_t c = 0; c < shape.num_cells(); ++c) {
+    int64_t count = r.GetSignedVarint64();
+    if (count == 1 && !kept_plus) {
+      kept_plus = true;
+    } else if (count == -1 && !kept_minus) {
+      kept_minus = true;
+    } else if (count != 0) {
+      count = hostile;
+    }
+    w.PutSignedVarint64(count);
+    w.PutVarint64(r.GetVarint64());
+    for (int b = 0; b < params.checksum_bytes; ++b) w.PutU8(r.GetU8());
+  }
+  EXPECT_TRUE(r.FinishAndCheckConsumed().ok());
+  return w.buffer();
+}
+
+/// The same rewrite for a classic RIBLT stream.
+std::vector<uint8_t> WithHostileRibltCounts(const std::vector<uint8_t>& in,
+                                            const RibltParams& params,
+                                            int64_t hostile) {
+  Riblt shape(params);
+  ByteReader r(in);
+  ByteWriter w;
+  bool kept_plus = false, kept_minus = false;
+  for (size_t c = 0; c < shape.num_cells(); ++c) {
+    int64_t count = r.GetSignedVarint64();
+    if (count == 1 && !kept_plus) {
+      kept_plus = true;
+    } else if (count == -1 && !kept_minus) {
+      kept_minus = true;
+    } else if (count != 0) {
+      count = hostile;
+    }
+    w.PutSignedVarint64(count);
+    w.PutVarint128(r.GetVarint128());
+    w.PutVarint128(r.GetVarint128());
+    for (size_t d = 0; d < params.dim; ++d) {
+      w.PutSignedVarint64(r.GetSignedVarint64());
+    }
+  }
+  EXPECT_TRUE(r.FinishAndCheckConsumed().ok());
+  return w.buffer();
+}
+
+TEST(CorruptionSweepTest, IbltHostileCountsNeverOverflow) {
+  IbltParams params;
+  params.num_cells = 64;
+  params.num_hashes = 4;
+  params.checksum_bytes = 4;
+  params.seed = 81;
+  Iblt sent(params);
+  sent.Insert(0x1234'5678'9abcULL);
+  sent.Delete(0x0fed'cba9'8765ULL);
+  Iblt local(params);
+  local.Insert(0x1111'2222'3333ULL);
+  local.Delete(0x4444'5555'6666ULL);
+  ByteWriter w;
+  sent.WriteTo(&w, WireCodec::kClassic);
+  for (int64_t hostile : kHostileCounts) {
+    const std::vector<uint8_t> bytes =
+        WithHostileIbltCounts(w.buffer(), params, hostile);
+    ByteReader r(bytes);
+    auto received = Iblt::ReadFrom(&r, params, WireCodec::kClassic);
+    ASSERT_TRUE(received.ok()) << received.status().ToString();
+    EXPECT_FALSE(received->Decode().complete) << hostile;
+    auto diff = received->DecodeDiff(local);
+    ASSERT_TRUE(diff.ok());
+    EXPECT_FALSE(diff->complete) << hostile;
+    auto reverse = local.DecodeDiff(*received);
+    ASSERT_TRUE(reverse.ok());
+    EXPECT_FALSE(reverse->complete) << hostile;
+    received->Insert(0x0fed'cba9'8765ULL);
+    received->Delete(0x1234'5678'9abcULL);
+    EXPECT_FALSE(received->Decode().complete) << hostile;
+    Iblt folded(params);
+    ASSERT_TRUE(received->FoldInto(&folded).ok());
+    for (WireCodec codec : kCodecs) {
+      ByteWriter out;
+      received->WriteTo(&out, codec);
+      ByteReader back(out.buffer());
+      EXPECT_TRUE(Iblt::ReadFrom(&back, params, codec).ok());
+    }
+  }
+}
+
+TEST(CorruptionSweepTest, RibltHostileCountsNeverOverflow) {
+  RibltParams params;
+  params.num_cells = 48;
+  params.num_hashes = 3;
+  params.dim = 2;
+  params.delta = 100;
+  params.seed = 83;
+  const Coord alice_row[] = {10, 20};
+  const Coord bob_row[] = {30, 40};
+  Riblt sent(params);
+  sent.Update(0x1234'5678'9abcULL, alice_row, +1);
+  sent.Update(0x0fed'cba9'8765ULL, bob_row, -1);
+  Riblt local(params);
+  local.Update(0x1111'2222'3333ULL, alice_row, +1);
+  ByteWriter w;
+  sent.WriteTo(&w, WireCodec::kClassic);
+  for (int64_t hostile : kHostileCounts) {
+    const std::vector<uint8_t> bytes =
+        WithHostileRibltCounts(w.buffer(), params, hostile);
+    ByteReader r(bytes);
+    auto received = Riblt::ReadFrom(&r, params, WireCodec::kClassic);
+    ASSERT_TRUE(received.ok()) << received.status().ToString();
+    RibltDecodeResult result;
+    Rng coins(1);
+    Status status = received->DecodeInto(64, 64, &coins, &result);
+    EXPECT_TRUE(!status.ok() || !result.complete) << hostile;
+    // Bob's side of Algorithm 1: delete his rows from the received table.
+    received->Update(0x1234'5678'9abcULL, alice_row, -1);
+    received->Update(0x1111'2222'3333ULL, bob_row, -1);
+    status = received->DecodeInto(64, 64, &coins, &result);
+    EXPECT_TRUE(!status.ok() || !result.complete) << hostile;
+    ASSERT_TRUE(received->AddScaled(local, -3).ok());
+    ASSERT_TRUE(received->AddScaled(*received, hostile).ok());
+    status = received->DecodeInto(64, 64, &coins, &result);
+    EXPECT_TRUE(!status.ok() || !result.complete) << hostile;
+    Riblt folded(params);
+    ASSERT_TRUE(received->FoldInto(&folded).ok());
+    for (WireCodec codec : kCodecs) {
+      ByteWriter out;
+      received->WriteTo(&out, codec);
+      ByteReader back(out.buffer());
+      EXPECT_TRUE(Riblt::ReadFrom(&back, params, codec).ok());
+    }
+  }
+}
+
+TEST(CorruptionSweepTest, StrataEstimatorHostileCountsNeverOverflow) {
+  StrataParams params;
+  params.num_strata = 6;
+  params.cells_per_stratum = 16;
+  params.seed = 85;
+  StrataEstimator local(params);
+  Rng rng(86);
+  for (int i = 0; i < 40; ++i) local.Insert(rng.Next());
+  for (int i = 0; i < 10; ++i) local.Delete(rng.Next());
+  IbltParams stratum;
+  stratum.num_cells = params.cells_per_stratum;
+  stratum.num_hashes = params.num_hashes;
+  const size_t cells = Iblt(stratum).num_cells();
+  for (int64_t hostile : kHostileCounts) {
+    // Every cell of every stratum carries the hostile count.
+    ByteWriter w;
+    for (int s = 0; s < params.num_strata; ++s) {
+      for (size_t c = 0; c < cells; ++c) {
+        w.PutSignedVarint64(hostile);
+        w.PutVarint64(0);
+        for (int b = 0; b < params.checksum_bytes; ++b) w.PutU8(0);
+      }
+    }
+    ByteReader r(w.buffer());
+    auto received = StrataEstimator::ReadFrom(&r, params, WireCodec::kClassic);
+    ASSERT_TRUE(received.ok()) << received.status().ToString();
+    // The deepest stratum cannot drain, so the estimate extrapolates.
+    auto estimate = received->EstimateDiff(local);
+    ASSERT_TRUE(estimate.ok());
+    EXPECT_GT(*estimate, 0u);
+    auto reverse = local.EstimateDiff(*received);
+    ASSERT_TRUE(reverse.ok());
+    EXPECT_GT(*reverse, 0u);
   }
 }
 

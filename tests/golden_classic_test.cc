@@ -85,7 +85,7 @@ Iblt GoldenIblt() {
     std::vector<uint8_t> v = {static_cast<uint8_t>(k),
                               static_cast<uint8_t>(k * 7),
                               static_cast<uint8_t>(k * 29)};
-    t.InsertKv(k * 0x9e3779b97f4a7c15ull, v);
+    t.Update(k * 0x9e3779b97f4a7c15ull, v.data(), +1);
   }
   return t;
 }

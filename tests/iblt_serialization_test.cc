@@ -67,7 +67,7 @@ TEST_P(IbltChecksumWidthTest, ValuedRoundTripDecodesIdentically) {
   for (int i = 0; i < 12; ++i) {
     std::vector<uint8_t> value(value_size);
     for (auto& v : value) v = static_cast<uint8_t>(rng.Next());
-    table.InsertKv(rng.Next(), value);
+    table.Update(rng.Next(), value.data(), +1);
   }
 
   std::vector<uint8_t> wire = Serialize(table);
@@ -145,8 +145,10 @@ TEST(IbltSerializationTest, ValueResidueRoundTripsAndBlocksCompleteness) {
   const size_t value_size = 4;
   IbltParams params = MakeParams(32, 3, value_size, 8, 5);
   Iblt table(params);
-  table.InsertKv(123, {1, 2, 3, 4});
-  table.DeleteKv(123, {9, 9, 9, 9});
+  const std::vector<uint8_t> ours = {1, 2, 3, 4};
+  const std::vector<uint8_t> theirs = {9, 9, 9, 9};
+  table.Update(123, ours.data(), +1);
+  table.Update(123, theirs.data(), -1);
 
   std::vector<uint8_t> wire = Serialize(table);
   ByteReader r(wire);

@@ -74,8 +74,8 @@ TEST(IbltTest, KeyValuePayloadRoundTrip) {
   Iblt table(MakeParams(64, 4, 3));
   std::vector<uint8_t> v1 = {1, 2, 3};
   std::vector<uint8_t> v2 = {9, 8, 7};
-  table.InsertKv(1001, v1);
-  table.InsertKv(1002, v2);
+  table.Update(1001, v1.data(), +1);
+  table.Update(1002, v2.data(), +1);
   IbltDecodeResult result = table.Decode();
   ASSERT_TRUE(result.complete);
   std::map<uint64_t, std::vector<uint8_t>> got;
@@ -106,11 +106,11 @@ TEST(IbltTest, SubtractComputesDifference) {
   }
   for (uint64_t k : alice_only) alice.Insert(k);
   for (uint64_t k : bob_only) bob.Insert(k);
-  ASSERT_TRUE(alice.SubtractInPlace(bob).ok());
-  IbltDecodeResult result = alice.Decode();
-  ASSERT_TRUE(result.complete);
+  auto result = alice.DecodeDiff(bob);
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->complete);
   std::set<uint64_t> plus, minus;
-  for (const auto& e : result.entries) {
+  for (const auto& e : result->entries) {
     (e.count > 0 ? plus : minus).insert(e.key);
   }
   EXPECT_EQ(plus, std::set<uint64_t>(alice_only.begin(), alice_only.end()));
@@ -120,15 +120,16 @@ TEST(IbltTest, SubtractComputesDifference) {
 TEST(IbltTest, SubtractRejectsParameterMismatch) {
   Iblt a(MakeParams(64, 4, 0, 1));
   Iblt b(MakeParams(64, 4, 0, 2));  // different seed
-  EXPECT_FALSE(a.SubtractInPlace(b).ok());
+  EXPECT_FALSE(a.DecodeDiff(b).ok());
 }
 
 TEST(IbltTest, SerializationRoundTrip) {
   IbltParams params = MakeParams(48, 3, 2);
   Iblt table(params);
-  table.InsertKv(5, {10, 20});
-  table.InsertKv(6, {30, 40});
-  table.DeleteKv(7, {50, 60});
+  const std::vector<uint8_t> v5 = {10, 20}, v6 = {30, 40}, v7 = {50, 60};
+  table.Update(5, v5.data(), +1);
+  table.Update(6, v6.data(), +1);
+  table.Update(7, v7.data(), -1);
   ByteWriter w;
   table.WriteTo(&w);
   ByteReader r(w.buffer());

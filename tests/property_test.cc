@@ -164,10 +164,10 @@ TEST(SketchAlgebraTest, IbltSelfSubtractionIsEmpty) {
   Rng rng(6);
   for (int i = 0; i < 30; ++i) a.Insert(rng.Next());
   Iblt b = a;
-  ASSERT_TRUE(a.SubtractInPlace(b).ok());
-  IbltDecodeResult result = a.Decode();
-  EXPECT_TRUE(result.complete);
-  EXPECT_TRUE(result.entries.empty());
+  auto result = a.DecodeDiff(b);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->complete);
+  EXPECT_TRUE(result->entries.empty());
 }
 
 TEST(SketchAlgebraTest, IbltInterleavingOrderIrrelevant) {
@@ -202,10 +202,14 @@ TEST(SketchAlgebraTest, RibltStateIsOrderInvariant) {
   for (auto& k : keys) k = rng.Next();
 
   Riblt forward(params), shuffled(params);
-  for (size_t i = 0; i < keys.size(); ++i) forward.Insert(keys[i], values[i]);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    forward.Update(keys[i], values[i].coords().data(), +1);
+  }
   std::vector<size_t> order(keys.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = order.size() - 1 - i;
-  for (size_t i : order) shuffled.Insert(keys[i], values[i]);
+  for (size_t i : order) {
+    shuffled.Update(keys[i], values[i].coords().data(), +1);
+  }
 
   ByteWriter wf, ws;
   forward.WriteTo(&wf);
@@ -229,10 +233,10 @@ TEST(SketchAlgebraTest, RibltDecodeConservesMultiset) {
     uint64_t key = 100 + rng.Below(12);  // deliberately collide keys
     Point value = GenerateUniform(1, 2, 50, &rng)[0];
     if (rng.Bernoulli(0.5)) {
-      table.Insert(key, value);
+      table.Update(key, value.coords().data(), +1);
       net[key] += 1;
     } else {
-      table.Delete(key, value);
+      table.Update(key, value.coords().data(), -1);
       net[key] -= 1;
     }
   }
@@ -284,7 +288,8 @@ TEST(WireRobustnessTest, TruncatedRibltFailsCleanly) {
   Riblt table(params);
   Rng rng(24);
   for (int i = 0; i < 6; ++i) {
-    table.Insert(rng.Next(), GenerateUniform(1, 2, 50, &rng)[0]);
+    table.Update(rng.Next(),
+                 GenerateUniform(1, 2, 50, &rng)[0].coords().data(), +1);
   }
   ByteWriter w;
   table.WriteTo(&w);
@@ -305,7 +310,8 @@ TEST(WireRobustnessTest, CorruptedRibltDecodeIsSafe) {
   Riblt table(params);
   Rng rng(26);
   for (int i = 0; i < 6; ++i) {
-    table.Insert(rng.Next(), GenerateUniform(1, 2, 50, &rng)[0]);
+    table.Update(rng.Next(),
+                 GenerateUniform(1, 2, 50, &rng)[0].coords().data(), +1);
   }
   ByteWriter w;
   table.WriteTo(&w);

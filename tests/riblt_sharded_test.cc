@@ -4,9 +4,10 @@
 // re-schedulings of the sequential UpdateMany: every cell sees its updates
 // in global key order, so the cell slabs — and therefore the WriteTo wire
 // bytes — must match exactly for every (num_shards, num_threads)
-// combination, on cold and warm (pooled-scratch) calls alike. The protocol
-// tests pin the stronger end-to-end form: full EMD and Gap transcripts are
-// independent of the sketch_shards knob.
+// combination, on cold and warm (pooled-scratch) calls alike. The basic
+// insert/delete identity runs over both tables in cell_table_test.cc; the
+// protocol tests here pin the stronger end-to-end form: full EMD and Gap
+// transcripts are independent of the sketch_shards knob.
 #include <cstdint>
 #include <vector>
 
@@ -32,12 +33,6 @@ std::vector<uint8_t> Bytes(const Riblt& table) {
   return std::vector<uint8_t>(w.buffer().begin(), w.buffer().end());
 }
 
-std::vector<uint8_t> Bytes(const Iblt& table) {
-  ByteWriter w;
-  table.WriteTo(&w);
-  return std::vector<uint8_t>(w.buffer().begin(), w.buffer().end());
-}
-
 RibltParams MakeRibltParams(size_t cells, size_t dim) {
   RibltParams params;
   params.num_cells = cells;
@@ -45,32 +40,6 @@ RibltParams MakeRibltParams(size_t cells, size_t dim) {
   params.delta = 1023;
   params.seed = 99;
   return params;
-}
-
-TEST(RibltShardedTest, InsertDeleteMixMatchesSequentialBytes) {
-  const size_t dim = 5;
-  Rng rng(1);
-  const size_t n = 513;  // not a multiple of any shard count
-  std::vector<uint64_t> ins_keys(n), del_keys(n / 2);
-  for (auto& k : ins_keys) k = rng.Next();
-  for (auto& k : del_keys) k = rng.Next();
-  PointStore ins_values = GenerateUniformStore(ins_keys.size(), dim, 1023, &rng);
-  PointStore del_values = GenerateUniformStore(del_keys.size(), dim, 1023, &rng);
-
-  Riblt reference(MakeRibltParams(384, dim));
-  reference.InsertMany(ins_keys, ins_values);
-  reference.DeleteMany(del_keys, del_values);
-  const std::vector<uint8_t> want = Bytes(reference);
-
-  for (size_t shards : kShardCounts) {
-    for (size_t threads : kThreadCounts) {
-      Riblt table(MakeRibltParams(384, dim));
-      table.InsertManySharded(ins_keys, ins_values, shards, threads);
-      table.DeleteManySharded(del_keys, del_values, shards, threads);
-      EXPECT_EQ(Bytes(table), want) << "shards " << shards << " threads "
-                                    << threads;
-    }
-  }
 }
 
 TEST(RibltShardedTest, WarmReuseAndShardCountSwitchesStayIdentical) {
@@ -87,7 +56,7 @@ TEST(RibltShardedTest, WarmReuseAndShardCountSwitchesStayIdentical) {
     for (auto& k : keys) k = rng.Next();
     PointStore values = GenerateUniformStore(n, dim, 1023, &rng);
     reference.InsertMany(keys, values);
-    table.InsertManySharded(keys, values, kShardCounts[round % 4],
+    table.UpdateManySharded(keys, values, +1, kShardCounts[round % 4],
                             kThreadCounts[round % 3]);
     ASSERT_EQ(Bytes(table), Bytes(reference)) << "round " << round;
   }
@@ -102,34 +71,9 @@ TEST(RibltShardedTest, ShardCountsBeyondCellsClampSafely) {
   Riblt reference(MakeRibltParams(9, dim));
   reference.InsertMany(keys, values);
   Riblt table(MakeRibltParams(9, dim));
-  table.InsertManySharded(keys, values, /*num_shards=*/1024,
+  table.UpdateManySharded(keys, values, +1, /*num_shards=*/1024,
                           /*num_threads=*/4);
   EXPECT_EQ(Bytes(table), Bytes(reference));
-}
-
-TEST(IbltShardedTest, InsertDeleteMixMatchesSequentialBytes) {
-  IbltParams params;
-  params.num_cells = 257;
-  params.seed = 17;
-  Rng rng(4);
-  std::vector<uint64_t> ins_keys(300), del_keys(111);
-  for (auto& k : ins_keys) k = rng.Next();
-  for (auto& k : del_keys) k = rng.Next();
-
-  Iblt reference(params);
-  reference.InsertMany(ins_keys);
-  reference.DeleteMany(del_keys);
-  const std::vector<uint8_t> want = Bytes(reference);
-
-  for (size_t shards : kShardCounts) {
-    for (size_t threads : kThreadCounts) {
-      Iblt table(params);
-      table.InsertManySharded(ins_keys, shards, threads);
-      table.DeleteManySharded(del_keys, shards, threads);
-      EXPECT_EQ(Bytes(table), want) << "shards " << shards << " threads "
-                                    << threads;
-    }
-  }
 }
 
 TEST(IbltShardedTest, ShardedTableDecodesTheSameDiff) {
@@ -146,8 +90,8 @@ TEST(IbltShardedTest, ShardedTableDecodesTheSameDiff) {
   b_keys.insert(b_keys.end(), only_b.begin(), only_b.end());
 
   Iblt a(params), b(params);
-  a.InsertManySharded(a_keys, /*num_shards=*/7, /*num_threads=*/2);
-  b.InsertManySharded(b_keys, /*num_shards=*/64, /*num_threads=*/1);
+  a.UpdateManySharded(a_keys, +1, /*num_shards=*/7, /*num_threads=*/2);
+  b.UpdateManySharded(b_keys, +1, /*num_shards=*/64, /*num_threads=*/1);
   auto diff = a.DecodeDiff(b);
   ASSERT_TRUE(diff.ok());
   EXPECT_TRUE(diff->complete);

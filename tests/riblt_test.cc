@@ -44,8 +44,8 @@ TEST(RibltTest, ExactRecoveryUniqueKeys) {
   Riblt table(MakeParams(144, 2, 100));
   std::map<uint64_t, Point> alice = {{11, P({1, 2})}, {22, P({3, 4})}};
   std::map<uint64_t, Point> bob = {{33, P({5, 6})}, {44, P({7, 8})}};
-  for (const auto& [k, v] : alice) table.Insert(k, v);
-  for (const auto& [k, v] : bob) table.Delete(k, v);
+  for (const auto& [k, v] : alice) table.Update(k, v.coords().data(), +1);
+  for (const auto& [k, v] : bob) table.Update(k, v.coords().data(), -1);
   Rng rng(2);
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
@@ -65,10 +65,10 @@ TEST(RibltTest, EqualPairsCancelCompletely) {
   Rng rng(3);
   PointSet points = GenerateUniform(30, 3, 50, &rng);
   for (size_t i = 0; i < points.size(); ++i) {
-    table.Insert(1000 + i, points[i]);
+    table.Update(1000 + i, points[i].coords().data(), +1);
   }
   for (size_t i = 0; i < points.size(); ++i) {
-    table.Delete(1000 + i, points[i]);
+    table.Update(1000 + i, points[i].coords().data(), -1);
   }
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
@@ -81,8 +81,8 @@ TEST(RibltTest, DuplicateKeysSameSideAveraged) {
   // (and randomized-rounds); with values 10 and 20 every extracted coordinate
   // must be 15 exactly (integer average).
   Riblt table(MakeParams(36, 1, 100));
-  table.Insert(77, P({10}));
-  table.Insert(77, P({20}));
+  table.Update(77, P({10}).coords().data(), +1);
+  table.Update(77, P({20}).coords().data(), +1);
   Rng rng(4);
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
@@ -99,8 +99,8 @@ TEST(RibltTest, RandomizedRoundingIsUnbiased) {
   int tens = 0, elevens = 0;
   for (int trial = 0; trial < 400; ++trial) {
     Riblt table(MakeParams(36, 1, 100, 3, 7));
-    table.Insert(5, P({10}));
-    table.Insert(5, P({11}));
+    table.Update(5, P({10}).coords().data(), +1);
+    table.Update(5, P({11}).coords().data(), +1);
     Rng rng(static_cast<uint64_t>(9000 + trial));
     auto result = table.Decode(10, 10, &rng);
     ASSERT_TRUE(result.ok());
@@ -119,9 +119,10 @@ TEST(RibltTest, ExtractedValuesClampedToDomain) {
   // extraction below 0; the decoder must clamp into [0, delta].
   for (int trial = 0; trial < 50; ++trial) {
     Riblt table(MakeParams(24, 1, 20, 3, static_cast<uint64_t>(100 + trial)));
-    table.Insert(1, P({0}));
-    table.Delete(1, P({20}));  // same key, value error -20 left behind
-    table.Insert(2, P({1}));
+    table.Update(1, P({0}).coords().data(), +1);
+    // Same key, value error -20 left behind.
+    table.Update(1, P({20}).coords().data(), -1);
+    table.Update(2, P({1}).coords().data(), +1);
     Rng rng(static_cast<uint64_t>(trial));
     auto result = table.Decode(10, 10, &rng);
     if (!result.ok()) continue;
@@ -137,10 +138,11 @@ TEST(RibltTest, ErrorPropagationMatchesFigure1) {
   // colliding extraction: total extracted "mass" shifts by e along the
   // peeling cascade, but key identities stay exact.
   Riblt table(MakeParams(24, 1, 100, 3, 12345));
-  table.Insert(1, P({40}));
-  table.Delete(1, P({50}));  // error -10 hidden in key 1's cells
-  table.Insert(2, P({60}));
-  table.Insert(3, P({70}));
+  table.Update(1, P({40}).coords().data(), +1);
+  // Error -10 hidden in key 1's cells.
+  table.Update(1, P({50}).coords().data(), -1);
+  table.Update(2, P({60}).coords().data(), +1);
+  table.Update(3, P({70}).coords().data(), +1);
   Rng rng(5);
   auto result = table.Decode(10, 10, &rng);
   ASSERT_TRUE(result.ok());
@@ -160,7 +162,9 @@ TEST(RibltTest, ErrorPropagationMatchesFigure1) {
 
 TEST(RibltTest, MaxPairsCapFails) {
   Riblt table(MakeParams(120, 1, 10));
-  for (uint64_t k = 0; k < 20; ++k) table.Insert(k + 1, P({1}));
+  for (uint64_t k = 0; k < 20; ++k) {
+    table.Update(k + 1, P({1}).coords().data(), +1);
+  }
   Rng rng(6);
   auto result = table.Decode(10, 10, &rng);
   EXPECT_FALSE(result.ok());
@@ -169,7 +173,9 @@ TEST(RibltTest, MaxPairsCapFails) {
 
 TEST(RibltTest, PerSideCapFails) {
   Riblt table(MakeParams(120, 1, 10));
-  for (uint64_t k = 0; k < 8; ++k) table.Insert(k + 1, P({1}));
+  for (uint64_t k = 0; k < 8; ++k) {
+    table.Update(k + 1, P({1}).coords().data(), +1);
+  }
   Rng rng(7);
   auto result = table.Decode(100, 4, &rng);
   EXPECT_FALSE(result.ok());
@@ -180,7 +186,9 @@ TEST(RibltTest, OverloadedSparseTableFails) {
   // return garbage.
   Riblt table(MakeParams(30, 1, 10));
   Rng seed_rng(8);
-  for (int i = 0; i < 60; ++i) table.Insert(seed_rng.Next(), P({1}));
+  for (int i = 0; i < 60; ++i) {
+    table.Update(seed_rng.Next(), P({1}).coords().data(), +1);
+  }
   Rng rng(9);
   auto result = table.Decode(1000, 1000, &rng);
   EXPECT_FALSE(result.ok());
@@ -195,14 +203,14 @@ TEST(RibltTest, MixedCancellationWithNoise) {
   Rng rng(10);
   PointSet base = GenerateUniform(n, 2, 99, &rng);
   for (size_t i = 0; i < n; ++i) {
-    table.Insert(100 + i, base[i]);
+    table.Update(100 + i, base[i].coords().data(), +1);
     std::vector<Coord> noisy_coords = base[i].coords();
     noisy_coords[0] = std::min<Coord>(noisy_coords[0] + 1, 100);
     Point noisy(std::move(noisy_coords));
-    table.Delete(100 + i, noisy);
+    table.Update(100 + i, noisy.coords().data(), -1);
   }
-  table.Insert(5000, P({1, 2}));   // Alice-only
-  table.Delete(6000, P({3, 4}));   // Bob-only
+  table.Update(5000, P({1, 2}).coords().data(), +1);   // Alice-only
+  table.Update(6000, P({3, 4}).coords().data(), -1);   // Bob-only
   auto result = table.Decode(8, 4, &rng);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->inserted.size(), 1u);
@@ -214,8 +222,8 @@ TEST(RibltTest, MixedCancellationWithNoise) {
 TEST(RibltTest, SerializationRoundTrip) {
   RibltParams params = MakeParams(36, 2, 50);
   Riblt table(params);
-  table.Insert(1, P({10, 20}));
-  table.Delete(2, P({30, 40}));
+  table.Update(1, P({10, 20}).coords().data(), +1);
+  table.Update(2, P({30, 40}).coords().data(), -1);
   ByteWriter w;
   table.WriteTo(&w);
   ByteReader r(w.buffer());
@@ -237,10 +245,10 @@ TEST(RibltTest, StoreNativeResultPreservesPairSemantics) {
   // and duplicate-key extraction (requirement 5) emits |C| parallel rows of
   // the averaged value. Values 10/20/30 under one key average to exactly 20.
   Riblt table(MakeParams(48, 2, 100, 3, 31));
-  table.Insert(9, P({10, 10}));
-  table.Insert(9, P({20, 20}));
-  table.Insert(9, P({30, 30}));
-  table.Delete(77, P({5, 6}));
+  table.Update(9, P({10, 10}).coords().data(), +1);
+  table.Update(9, P({20, 20}).coords().data(), +1);
+  table.Update(9, P({30, 30}).coords().data(), +1);
+  table.Update(77, P({5, 6}).coords().data(), -1);
   Rng rng(32);
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
@@ -267,10 +275,11 @@ TEST(RibltTest, StoreNativeErrorPropagationWithMultipleCopies) {
   // integral or both rows round independently but stay within 1).
   for (int trial = 0; trial < 30; ++trial) {
     Riblt table(MakeParams(24, 1, 100, 3, static_cast<uint64_t>(500 + trial)));
-    table.Insert(1, P({40}));
-    table.Delete(1, P({60}));  // error -20 hidden in key 1's cells
-    table.Insert(2, P({50}));
-    table.Insert(2, P({50}));  // C = 2 copies, same value
+    table.Update(1, P({40}).coords().data(), +1);
+    // Error -20 hidden in key 1's cells.
+    table.Update(1, P({60}).coords().data(), -1);
+    table.Update(2, P({50}).coords().data(), +1);
+    table.Update(2, P({50}).coords().data(), +1);  // C = 2 copies, same value
     Rng rng(static_cast<uint64_t>(600 + trial));
     auto result = table.Decode(10, 10, &rng);
     if (!result.ok()) continue;  // mixed-sign cells can legally jam
@@ -294,8 +303,8 @@ TEST(RibltTest, DecodeIntoReusedResultResetsCompletely) {
   // — including across tables of different dimension — with no residue of
   // the previous contents.
   Riblt wide(MakeParams(48, 3, 50, 3, 41));
-  wide.Insert(5, P({1, 2, 3}));
-  wide.Insert(6, P({4, 5, 6}));
+  wide.Update(5, P({1, 2, 3}).coords().data(), +1);
+  wide.Update(6, P({4, 5, 6}).coords().data(), +1);
   RibltDecodeResult result;
   Rng rng1(42);
   ASSERT_TRUE(wide.DecodeInto(10, 10, &rng1, &result).ok());
@@ -303,7 +312,7 @@ TEST(RibltTest, DecodeIntoReusedResultResetsCompletely) {
   ASSERT_EQ(result.inserted.dim(), 3u);
 
   Riblt narrow(MakeParams(36, 1, 50, 3, 43));
-  narrow.Delete(7, P({9}));
+  narrow.Update(7, P({9}).coords().data(), -1);
   Rng rng2(44);
   ASSERT_TRUE(narrow.DecodeInto(10, 10, &rng2, &result).ok());
   EXPECT_TRUE(result.inserted.empty());
@@ -318,13 +327,15 @@ TEST(RibltTest, FailedDecodeLeavesResultReusable) {
   // A decode that fails its caps mid-peel must not poison the reused result:
   // the next DecodeInto starts from a clean slate.
   Riblt overloaded(MakeParams(120, 1, 10, 3, 45));
-  for (uint64_t k = 0; k < 20; ++k) overloaded.Insert(k + 1, P({1}));
+  for (uint64_t k = 0; k < 20; ++k) {
+    overloaded.Update(k + 1, P({1}).coords().data(), +1);
+  }
   RibltDecodeResult result;
   Rng rng1(46);
   EXPECT_FALSE(overloaded.DecodeInto(10, 10, &rng1, &result).ok());
 
   Riblt clean(MakeParams(36, 1, 10, 3, 47));
-  clean.Insert(3, P({4}));
+  clean.Update(3, P({4}).coords().data(), +1);
   Rng rng2(48);
   ASSERT_TRUE(clean.DecodeInto(10, 10, &rng2, &result).ok());
   EXPECT_TRUE(result.complete);
@@ -356,8 +367,10 @@ TEST_P(RibltSizeTest, PaperSizingDecodesReliably) {
     Rng rng(static_cast<uint64_t>(6000 + trial));
     // 2k Alice-only and 2k Bob-only pairs (the protocol's worst case).
     for (size_t i = 0; i < 2 * k; ++i) {
-      table.Insert(rng.Next(), GenerateUniform(1, 2, 100, &rng)[0]);
-      table.Delete(rng.Next(), GenerateUniform(1, 2, 100, &rng)[0]);
+      table.Update(rng.Next(),
+                   GenerateUniform(1, 2, 100, &rng)[0].coords().data(), +1);
+      table.Update(rng.Next(),
+                   GenerateUniform(1, 2, 100, &rng)[0].coords().data(), -1);
     }
     auto result = table.Decode(4 * k, 2 * k, &rng);
     if (!result.ok()) {

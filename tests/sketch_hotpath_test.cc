@@ -172,16 +172,18 @@ TEST(SketchHotPathTest, ValueResidueReportsIncomplete) {
   params.value_size = 4;
   params.seed = 14;
   Iblt table(params);
-  table.InsertKv(42, {1, 2, 3, 4});
-  table.DeleteKv(42, {4, 3, 2, 1});
+  const std::vector<uint8_t> forward = {1, 2, 3, 4};
+  const std::vector<uint8_t> reversed = {4, 3, 2, 1};
+  table.Update(42, forward.data(), +1);
+  table.Update(42, reversed.data(), -1);
   IbltDecodeResult result = table.Decode();
   EXPECT_TRUE(result.entries.empty());
   EXPECT_FALSE(result.complete);
 
   // Matching payloads cancel exactly and stay complete.
   Iblt clean(params);
-  clean.InsertKv(42, {1, 2, 3, 4});
-  clean.DeleteKv(42, {1, 2, 3, 4});
+  clean.Update(42, forward.data(), +1);
+  clean.Update(42, forward.data(), -1);
   EXPECT_TRUE(clean.Decode().complete);
 }
 
