@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "core/adaptive.h"
 #include "core/emd_sketch.h"
@@ -13,7 +12,6 @@
 #include "lsh/eval_pipeline.h"
 #include "lsh/mlsh.h"
 #include "sketch/riblt.h"
-#include "util/parallel.h"
 
 namespace rsr {
 
@@ -92,25 +90,7 @@ Result<EmdProtocolReport> FinishEmdProtocol(
 
   // Deletions are independent per level (threadable); decoding stays
   // sequential finest-to-coarsest because bob_coins is a single stream.
-  // sketch_shards > 1 moves the fan-out inside each table, as on Alice's
-  // side.
-  if (params.sketch_shards > 1) {
-    for (size_t l = 0; l < derived.levels; ++l) {
-      received[l].UpdateManySharded(
-          std::span<const uint64_t>(bob_keys.data() + l * n, n), bob, -1,
-          params.sketch_shards, params.num_threads);
-    }
-  } else {
-    ParallelShards(derived.levels, params.num_threads,
-                   [&](size_t begin, size_t end) {
-                     for (size_t l = begin; l < end; ++l) {
-                       received[l].DeleteMany(
-                           std::span<const uint64_t>(bob_keys.data() + l * n,
-                                                     n),
-                           bob);
-                     }
-                   });
-  }
+  UpdateLevelTables(&received, bob_keys, bob, -1, params);
 
   for (size_t level = derived.levels; level >= 1; --level) {
     Riblt& table = received[level - 1];
@@ -124,10 +104,11 @@ Result<EmdProtocolReport> FinishEmdProtocol(
       if (decoded_level == 0) {
         decoded_level = level;
         best = std::move(decoded);
-        // Coarser levels are not needed; keep scanning only to fill
-        // diagnostics cheaply? Decoding coarser levels costs little and the
-        // outcomes are useful to benches, so continue. (DecodeInto resets
-        // the moved-from result before reusing it.)
+        // The repair uses this finest decoded level only. Coarser levels
+        // still decode: report.levels records every level's outcome for
+        // benches and traces, and a coarse level holds few cells, so that
+        // costs little. (DecodeInto resets the moved-from result before
+        // reusing it.)
       }
     }
     if (level == 1) break;  // size_t guard
@@ -253,29 +234,9 @@ Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
     tables.emplace_back(
         EmdLevelRibltParams(params, level_cells[level - 1], level));
   }
-  // Each level's table is an independent function of (keys, points), so
-  // levels can build on separate threads; serialization stays in level
-  // order, keeping the wire bytes identical to the sequential build. With
-  // sketch_shards > 1 the parallelism (and cache blocking) moves INSIDE each
-  // table instead: levels run sequentially and every table's cell array is
-  // built shard by shard — still byte-identical on the wire.
-  if (params.sketch_shards > 1) {
-    for (size_t l = 0; l < derived.levels; ++l) {
-      tables[l].UpdateManySharded(
-          std::span<const uint64_t>(alice_keys.data() + l * n, n), alice, +1,
-          params.sketch_shards, params.num_threads);
-    }
-  } else {
-    ParallelShards(derived.levels, params.num_threads,
-                   [&](size_t begin, size_t end) {
-                     for (size_t l = begin; l < end; ++l) {
-                       tables[l].InsertMany(
-                           std::span<const uint64_t>(alice_keys.data() + l * n,
-                                                     n),
-                           alice);
-                     }
-                   });
-  }
+  // Serialization stays in level order, so the wire bytes do not depend on
+  // how UpdateLevelTables schedules the build.
+  UpdateLevelTables(&tables, alice_keys, alice, +1, params);
 
   return FinishEmdProtocol(tables, level_cells, prefix_lens, bob, bob_keys,
                            params, &transcript, std::move(report));

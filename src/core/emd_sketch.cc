@@ -83,6 +83,46 @@ std::vector<uint64_t> ComputeEmdLevelKeys(
   return keys;
 }
 
+void UpdateLevelTables(std::vector<Riblt>* tables,
+                       std::span<const uint64_t> keys, const PointStore& rows,
+                       int direction, const EmdProtocolParams& params) {
+  const size_t n = rows.size();
+  auto level_keys = [&](size_t l) { return keys.subspan(l * n, n); };
+  if (params.sketch_shards > 1) {
+    for (size_t l = 0; l < tables->size(); ++l) {
+      (*tables)[l].UpdateManySharded(level_keys(l), rows, direction,
+                                     params.sketch_shards, params.num_threads);
+    }
+    return;
+  }
+  ParallelShards(tables->size(), params.num_threads,
+                 [&](size_t begin, size_t end) {
+                   for (size_t l = begin; l < end; ++l) {
+                     (*tables)[l].UpdateMany(level_keys(l), rows, direction);
+                   }
+                 });
+}
+
+void BuildEmdLevelTables(std::span<const uint64_t> keys,
+                         const PointStore& rows,
+                         const EmdProtocolParams& params,
+                         bool build_estimators, EmdSketchSet* set) {
+  const size_t levels = set->derived.levels;
+  set->n = rows.size();
+  set->tables.clear();
+  set->tables.reserve(levels);
+  for (size_t level = 1; level <= levels; ++level) {
+    set->tables.emplace_back(
+        EmdLevelRibltParams(params, set->derived.cells, level));
+  }
+  UpdateLevelTables(&set->tables, keys, rows, +1, params);
+  if (build_estimators) {
+    set->estimators =
+        BuildLevelEstimators(keys, levels, set->n, params.adaptive,
+                             params.seed, params.num_threads);
+  }
+}
+
 Result<EmdSketchSet> BuildEmdSketches(const PointStore& alice,
                                       const EmdProtocolParams& params,
                                       bool build_estimators) {
@@ -90,51 +130,16 @@ Result<EmdSketchSet> BuildEmdSketches(const PointStore& alice,
     return Status::InvalidArgument("sketch set requires a nonempty store");
   }
   ValidatePointStore(alice, params.dim, params.delta);
-  const size_t n = alice.size();
 
   EmdSketchSet set;
-  set.n = n;
-  RSR_ASSIGN_OR_RETURN(set.derived, DeriveEmdParameters(params, n));
-  const EmdDerived& derived = set.derived;
-  set.prefix_lens = EmdPrefixLens(derived);
-
-  EmdHashes hashes = MakeEmdHashes(params, derived);
+  RSR_ASSIGN_OR_RETURN(set.derived, DeriveEmdParameters(params, alice.size()));
+  set.prefix_lens = EmdPrefixLens(set.derived);
+  EmdHashes hashes = MakeEmdHashes(params, set.derived);
   EvalMatrix evals;
   EvaluateAllInto(alice, hashes.draws, params.num_threads, &evals);
-  std::vector<uint64_t> keys = ComputeEmdLevelKeys(
+  const std::vector<uint64_t> keys = ComputeEmdLevelKeys(
       evals, hashes.level_key_hash, set.prefix_lens, params.num_threads);
-
-  set.tables.reserve(derived.levels);
-  for (size_t level = 1; level <= derived.levels; ++level) {
-    set.tables.emplace_back(
-        EmdLevelRibltParams(params, derived.cells, level));
-  }
-  // Each level's table is an independent function of (keys, points), so
-  // levels can build on separate threads; with sketch_shards > 1 the
-  // parallelism (and cache blocking) moves INSIDE each table instead. Both
-  // paths produce byte-identical cells (riblt_sharded_test).
-  if (params.sketch_shards > 1) {
-    for (size_t l = 0; l < derived.levels; ++l) {
-      set.tables[l].UpdateManySharded(
-          std::span<const uint64_t>(keys.data() + l * n, n), alice, +1,
-          params.sketch_shards, params.num_threads);
-    }
-  } else {
-    ParallelShards(derived.levels, params.num_threads,
-                   [&](size_t begin, size_t end) {
-                     for (size_t l = begin; l < end; ++l) {
-                       set.tables[l].InsertMany(
-                           std::span<const uint64_t>(keys.data() + l * n, n),
-                           alice);
-                     }
-                   });
-  }
-
-  if (build_estimators) {
-    set.estimators =
-        BuildLevelEstimators(keys, derived.levels, n, params.adaptive,
-                             params.seed, params.num_threads);
-  }
+  BuildEmdLevelTables(keys, alice, params, build_estimators, &set);
   return set;
 }
 

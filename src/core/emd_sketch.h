@@ -17,6 +17,7 @@
 #define RSR_CORE_EMD_SKETCH_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/params.h"
@@ -96,10 +97,28 @@ struct EmdSketchSet {
   std::vector<StrataEstimator> estimators;
 };
 
+/// Applies one signed batch to every level table: table l takes the n rows
+/// of `rows` under keys[l*n, (l+1)*n) in `direction`. With
+/// params.sketch_shards > 1 each table is built shard by shard (the
+/// parallelism and cache blocking move inside the table); otherwise levels
+/// run on parallel threads. Both give byte-identical tables
+/// (riblt_sharded_test).
+void UpdateLevelTables(std::vector<Riblt>* tables,
+                       std::span<const uint64_t> keys, const PointStore& rows,
+                       int direction, const EmdProtocolParams& params);
+
+/// The cold build of a sketch set from the level-major `keys` of `rows`:
+/// one set->derived.cells table per level holding every row, plus one
+/// estimator per level when `build_estimators`. set->derived must be set.
+/// BuildEmdSketches and SyncDataset::Create both build through here, which
+/// keeps a maintained set byte-identical to a cold one.
+void BuildEmdLevelTables(std::span<const uint64_t> keys,
+                         const PointStore& rows,
+                         const EmdProtocolParams& params,
+                         bool build_estimators, EmdSketchSet* set);
+
 /// Builds the full sketch set over `alice` — exactly the Alice half of the
-/// static protocol (same hashes, same build order, same sharding semantics:
-/// params.sketch_shards > 1 builds each table shard-by-shard, otherwise
-/// levels build on parallel threads; both are byte-identical on the wire).
+/// static protocol (same hashes, same build order, same UpdateLevelTables).
 /// Tables are always statically sized at derived.cells — adaptive
 /// negotiation sizes tables per-exchange and cannot be precomputed.
 Result<EmdSketchSet> BuildEmdSketches(const PointStore& alice,

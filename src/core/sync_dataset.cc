@@ -5,7 +5,6 @@
 
 #include "core/adaptive.h"
 #include "hashing/hash64.h"
-#include "util/parallel.h"
 
 namespace rsr {
 
@@ -157,36 +156,16 @@ Result<SyncDataset> SyncDataset::Create(const PointStore& initial,
     }
   }
 
-  // The cold build, inlined with the SAME calls and ordering as
-  // BuildEmdSketches (sync_dataset_test pins byte-equality against it).
+  // The cold build: BuildEmdSketches' key derivation and table build
+  // (sync_dataset_test pins byte-equality against it).
   const size_t t = derived.levels;
   EvaluateAllInto(ds.rows_, ds.hashes_.draws, params.num_threads,
                   &ds.eval_scratch_);
   std::vector<uint64_t> keys =
       ComputeEmdLevelKeys(ds.eval_scratch_, ds.hashes_.level_key_hash,
                           ds.sketches_.prefix_lens, params.num_threads);
-  ds.sketches_.tables.reserve(t);
-  for (size_t level = 1; level <= t; ++level) {
-    ds.sketches_.tables.emplace_back(
-        EmdLevelRibltParams(params, derived.cells, level));
-  }
-  if (params.sketch_shards > 1) {
-    for (size_t l = 0; l < t; ++l) {
-      ds.sketches_.tables[l].UpdateManySharded(
-          std::span<const uint64_t>(keys.data() + l * n, n), ds.rows_, +1,
-          params.sketch_shards, params.num_threads);
-    }
-  } else {
-    ParallelShards(t, params.num_threads, [&](size_t begin, size_t end) {
-      for (size_t l = begin; l < end; ++l) {
-        ds.sketches_.tables[l].InsertMany(
-            std::span<const uint64_t>(keys.data() + l * n, n), ds.rows_);
-      }
-    });
-  }
-  ds.sketches_.estimators = BuildLevelEstimators(
-      keys, t, n, params.adaptive, params.seed, params.num_threads);
-  ds.sketches_.n = n;
+  BuildEmdLevelTables(keys, ds.rows_, params, /*build_estimators=*/true,
+                      &ds.sketches_);
 
   // Row-major cache of the level keys (deletes replay these).
   ds.row_level_keys_.resize(n * t);

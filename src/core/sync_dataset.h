@@ -57,8 +57,8 @@ class SyncDataset {
   ///     foldable. kExact rounding is rejected. (Estimators are maintained
   ///     regardless — shaped by params.adaptive — and feed the negotiation
   ///     round without any O(n) rebuild.)
-  /// The initial build is exactly BuildEmdSketches (same hashes, same build
-  /// order); everything afterwards is incremental.
+  /// The initial build is exactly BuildEmdSketches' (same hashes, same
+  /// BuildEmdLevelTables); everything afterwards is incremental.
   static Result<SyncDataset> Create(const PointStore& initial,
                                     const EmdProtocolParams& params);
 

@@ -15,7 +15,6 @@
 //     tables keep defaulted copy operations. Peel scratch is thread_local
 //     inside each table's decode: one policy, under which decode is const
 //     and reentrant.
-//   - The compact codec's sparse-mode inclusion bitmap (writer and reader).
 //   - Wrapping int64 slab arithmetic: counts and value sums are two's
 //     complement, so counts read off the wire can never overflow.
 //
@@ -23,6 +22,9 @@
 // drawn from Rng(seed ^ salt) and never depend on m, which is what makes a
 // fold byte-identical to a cold build at the smaller size. Each table passes
 // its own salt, so the two tables' layouts stay as they always were.
+//
+// The compact wire codec the two tables share (FoR ranges, checksum budget,
+// header prefix, layout choice, inclusion bitmap) is in cell_codec.h.
 #ifndef RSR_SKETCH_CELL_TABLE_H_
 #define RSR_SKETCH_CELL_TABLE_H_
 
@@ -338,40 +340,6 @@ Result<Table> FoldTableTo(const Table& src, size_t num_cells) {
   Table dst(target);
   RSR_RETURN_NOT_OK(src.FoldInto(&dst));
   return dst;
-}
-
-// ---- Compact codec: sparse-mode inclusion bitmap ----------------------------
-
-/// Writes flags[0..m) as a bitmap, bit i of byte b flagging cell 8b + i.
-// RSR_ZERO_ALLOC: byte writes into the caller's pooled writer.
-inline void WriteInclusionBitmap(ByteWriter* w, const uint8_t* flags,
-                                 size_t m) {
-  for (size_t base = 0; base < m; base += 8) {
-    uint8_t bits = 0;
-    for (size_t i = 0; i < 8 && base + i < m; ++i) {
-      if (flags[base + i]) bits |= static_cast<uint8_t>(1u << i);
-    }
-    w->PutU8(bits);
-  }
-}
-
-/// Sets flags[0..m) to 1 (dense mode) or to the bitmap on the wire (sparse
-/// mode). Nonzero padding past the last cell would let two distinct streams
-/// decode identically, so it poisons the reader for canonical round trips.
-inline Status ReadInclusionBitmap(ByteReader* r, bool sparse, size_t m,
-                                  std::vector<uint8_t>* flags) {
-  flags->assign(m, 1);
-  for (size_t base = 0; sparse && base < m; base += 8) {
-    const uint8_t bits = r->GetU8();
-    for (size_t i = 0; i < 8; ++i) {
-      if (base + i < m) {
-        (*flags)[base + i] = (bits >> i) & 1;
-      } else if ((bits >> i) & 1) {
-        r->Invalidate();
-      }
-    }
-  }
-  return r->status();
 }
 
 }  // namespace sketch_internal

@@ -4,15 +4,24 @@
 #include <bit>
 
 #include "hashing/checksum.h"
+#include "sketch/cell_codec.h"
 
 namespace rsr {
 
-namespace {
+using sketch_internal::BitWidth;
+using sketch_internal::ColumnRange;
+using sketch_internal::CompactCellPass;
+using sketch_internal::CompactChecksumBits;
+using sketch_internal::CompactHeader;
+using sketch_internal::CompactLayout;
+using sketch_internal::ForRange;
+using sketch_internal::kSparseMode;
+using sketch_internal::LowMask;
+using sketch_internal::PickCompactLayout;
+using sketch_internal::ReadCompactHeader;
+using sketch_internal::ReadInclusionBitmap;
 
-uint64_t ChecksumMask(int checksum_bytes) {
-  return checksum_bytes >= 8 ? ~uint64_t{0}
-                             : ((uint64_t{1} << (8 * checksum_bytes)) - 1);
-}
+namespace {
 
 inline size_t ValueWords(size_t num_cells, size_t value_size) {
   return (num_cells * value_size + 7) / 8;
@@ -26,7 +35,7 @@ Iblt::Iblt(const IbltParams& params)
                 0x1b17a5e11b17ULL) {
   RSR_CHECK(params.checksum_bytes >= 1 && params.checksum_bytes <= 8);
   params_.num_cells = geometry_.num_cells();
-  checksum_mask_ = ChecksumMask(params_.checksum_bytes);
+  checksum_mask_ = LowMask<uint64_t>(8 * params_.checksum_bytes);
   checksum_salt_ = ChecksumSalt(params_.seed);
   arena_.assign(
       3 * num_cells() + ValueWords(num_cells(), params_.value_size), 0);
@@ -233,26 +242,9 @@ void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
   }
 }
 
-namespace {
-
-/// Wire checksum width for a compact table: the pure-cell false-positive
-/// rate the cell count needs (2^-16 per peel step — the library's estimator
-/// strata already run at exactly this rate — plus one bit per doubling of
-/// the cell count), never wider than the table's current mask.
-int CompactChecksumBits(size_t num_cells, uint64_t checksum_mask,
-                        int checksum_bytes) {
-  int trunc = std::min(8 * checksum_bytes,
-                       16 + static_cast<int>(std::bit_width(num_cells)));
-  return std::min(trunc, static_cast<int>(std::bit_width(checksum_mask)));
-}
-
-int Width64(uint64_t v) { return static_cast<int>(std::bit_width(v)); }
-
-}  // namespace
-
 // RSR_ZERO_ALLOC: warm serves encode into a pooled writer without heap
-// traffic (SyncServerTest.WarmServeSerializeDoesNotAllocate); the inclusion
-// flags below are thread_local for the same reason.
+// traffic (SyncServerTest.WarmServeSerializeDoesNotAllocate); the codec's
+// inclusion flags are per-thread pooled for the same reason.
 void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   const int64_t* counts = Counts();
   const uint64_t* keys = KeyXors();
@@ -272,121 +264,72 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
     return;
   }
 
-  // Compact: frame-of-reference counts, width-packed keys (minus their
-  // common trailing zeros), checksums
-  // truncated to the width the cell count needs, and a nonzero-cell bitmap
-  // (sparse mode) when dropping empty cells wins by exact byte count. Every
-  // included cell ships its (truncated) checksum — a leaner "pure cell"
-  // elision that re-derived checksums from keys was rejected because it
-  // hands corrupted streams guaranteed-valid pure cells, defeating the
-  // probabilistic guard the peeler's termination rests on.
+  // Compact: the shared cell codec (cell_codec.h: FoR counts, truncated
+  // checksums, dense or sparse layout) around the IBLT's own columns:
+  // width-packed keys minus their common trailing zeros, then the raw value
+  // slab. Every included cell ships its (truncated) checksum — a leaner
+  // "pure cell" elision that re-derived checksums from keys was rejected
+  // because it hands corrupted streams guaranteed-valid pure cells,
+  // defeating the probabilistic guard the peeler's termination rests on.
   const size_t m = num_cells();
   const size_t value_size = params_.value_size;
   const uint8_t* values = ValueXors();
-  const int chk_bits =
-      CompactChecksumBits(m, checksum_mask_, params_.checksum_bytes);
-  const uint64_t wire_mask =
-      chk_bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << chk_bits) - 1);
+  const int chk_bits = CompactChecksumBits(m, 8 * params_.checksum_bytes,
+                                           BitWidth(checksum_mask_));
+  const uint64_t wire_mask = LowMask<uint64_t>(chk_bits);
 
-  size_t n_included = 0;
-  int64_t cnt_min_all = 0, cnt_max_all = 0;  // over all cells (dense)
-  int64_t cnt_min_inc = 0, cnt_max_inc = 0;  // over included cells (sparse)
-  bool have_inc = false;
-  uint64_t key_max_all = 0, key_max_inc = 0;
+  CompactCellPass pass(m);
+  ColumnRange<uint64_t> key_range;
   // Common trailing-zero count of every nonzero key XOR, shipped once and
   // stripped from each key field. Strata estimator tables are the target:
   // every key in stratum s ends in exactly s trailing zeros, so their XORs
   // share >= s, and the stratum's cells each save s bits.
   int key_shift = 64;
-  // Pooled inclusion flags (encode runs on concurrent serving threads, so
-  // the pool is per thread, not per instance).
-  static thread_local std::vector<uint8_t> included_cells;
-  included_cells.assign(m, 0);
   for (size_t c = 0; c < m; ++c) {
-    if (c == 0) {
-      cnt_min_all = cnt_max_all = counts[0];
-    } else {
-      cnt_min_all = std::min(cnt_min_all, counts[c]);
-      cnt_max_all = std::max(cnt_max_all, counts[c]);
-    }
-    key_max_all = std::max(key_max_all, keys[c]);
     if (keys[c] != 0) {
       key_shift = std::min(key_shift, std::countr_zero(keys[c]));
     }
-    bool nonzero =
-        counts[c] != 0 || keys[c] != 0 || (checksums[c] & wire_mask) != 0;
-    if (!nonzero && value_size > 0) {
-      const uint8_t* v = values + c * value_size;
-      for (size_t i = 0; i < value_size; ++i) {
-        if (v[i] != 0) {
-          nonzero = true;
-          break;
-        }
-      }
-    }
-    if (!nonzero) continue;
-    included_cells[c] = 1;
-    ++n_included;
-    key_max_inc = std::max(key_max_inc, keys[c]);
-    if (!have_inc) {
-      cnt_min_inc = cnt_max_inc = counts[c];
-      have_inc = true;
-    } else {
-      cnt_min_inc = std::min(cnt_min_inc, counts[c]);
-      cnt_max_inc = std::max(cnt_max_inc, counts[c]);
-    }
+    const uint8_t* v = values + c * value_size;
+    const bool included =
+        counts[c] != 0 || keys[c] != 0 || (checksums[c] & wire_mask) != 0 ||
+        std::any_of(v, v + value_size, [](uint8_t b) { return b != 0; });
+    pass.Add(c, counts[c], included);
+    key_range.Add(keys[c], included);
   }
   if (key_shift == 64) key_shift = 0;  // no nonzero keys: nothing to strip
-  const int cnt_bits_dense = Width64(static_cast<uint64_t>(cnt_max_all) -
-                                     static_cast<uint64_t>(cnt_min_all));
-  const int cnt_bits_sparse =
-      have_inc ? Width64(static_cast<uint64_t>(cnt_max_inc) -
-                         static_cast<uint64_t>(cnt_min_inc))
-               : 0;
-  const int key_bits_dense = Width64(key_max_all >> key_shift);
-  const int key_bits_sparse = Width64(key_max_inc >> key_shift);
-
-  const size_t dense_bits =
-      m * static_cast<size_t>(cnt_bits_dense + key_bits_dense + chk_bits);
-  const size_t sparse_bits =
-      n_included *
-      static_cast<size_t>(cnt_bits_sparse + key_bits_sparse + chk_bits);
-  const size_t dense_bytes = (dense_bits + 7) / 8 + m * value_size;
-  const size_t sparse_bytes =
-      (m + 7) / 8 + (sparse_bits + 7) / 8 + n_included * value_size;
-  const bool sparse = sparse_bytes < dense_bytes;
-
-  const int cnt_bits = sparse ? cnt_bits_sparse : cnt_bits_dense;
-  const int key_bits = sparse ? key_bits_sparse : key_bits_dense;
-  const int64_t cnt_base = sparse ? (have_inc ? cnt_min_inc : 0) : cnt_min_all;
-  // Exact-size reserve (the 15 covers the fixed header fields plus the
-  // worst-case cnt_base varint): the chosen candidate's byte count is known
-  // before a single field is emitted, so a cold pooled writer allocates at
-  // most once.
-  w->Reserve(w->size_bytes() + 15 + (sparse ? sparse_bytes : dense_bytes));
-  w->PutU8(sparse ? 1 : 0);
-  w->PutU8(static_cast<uint8_t>(chk_bits));
-  w->PutSignedVarint64(cnt_base);
-  w->PutU8(static_cast<uint8_t>(cnt_bits));
+  auto key_width = [&](bool sparse) {
+    return BitWidth(key_range.of(sparse).max() >> key_shift);
+  };
+  // Candidates are compared on their bodies: the IBLT leaves the header out.
+  auto body_bytes = [&](bool sparse) {
+    return pass.BodyBytes(
+        sparse,
+        static_cast<size_t>(pass.counts(sparse).bits() + key_width(sparse) +
+                            chk_bits),
+        value_size);
+  };
+  const CompactLayout layout =
+      PickCompactLayout<1>({body_bytes(false)}, {body_bytes(true)});
+  const bool sparse = layout.sparse;
+  const ForRange<int64_t>& cnt = pass.counts(sparse);
+  const int cnt_bits = cnt.bits();
+  const int key_bits = key_width(sparse);
+  // Exact-size reserve: a cold pooled writer allocates at most once.
+  w->Reserve(w->size_bytes() + pass.HeaderBytes(sparse) + 2 + layout.bytes);
+  pass.WriteHeader(w, sparse ? kSparseMode : 0, chk_bits);
   w->PutU8(static_cast<uint8_t>(key_bits));
   w->PutU8(static_cast<uint8_t>(key_shift));
-  if (sparse) {
-    sketch_internal::WriteInclusionBitmap(w, included_cells.data(), m);
-  }
+  if (sparse) pass.WriteBitmap(w);
   for (size_t c = 0; c < m; ++c) {
-    if (sparse && !included_cells[c]) continue;
-    w->PutBits(static_cast<uint64_t>(counts[c]) -
-                   static_cast<uint64_t>(cnt_base),
-               cnt_bits);
+    if (sparse && !pass.included(c)) continue;
+    w->PutBits(cnt.Offset(counts[c]), cnt_bits);
     w->PutBits(keys[c] >> key_shift, key_bits);
     w->PutBits(checksums[c] & wire_mask, chk_bits);
   }
   w->AlignToByte();
-  if (value_size > 0) {
-    for (size_t c = 0; c < m; ++c) {
-      if (sparse && !included_cells[c]) continue;
-      w->PutBytes(values + c * value_size, value_size);
-    }
+  for (size_t c = 0; value_size > 0 && c < m; ++c) {
+    if (sparse && !pass.included(c)) continue;
+    w->PutBytes(values + c * value_size, value_size);
   }
 }
 
@@ -416,43 +359,35 @@ Result<Iblt> Iblt::ReadFrom(ByteReader* r, const IbltParams& params,
 
   const size_t m = table.num_cells();
   const size_t value_size = table.params_.value_size;
-  const uint8_t mode = r->GetU8();
-  const int chk_bits = r->GetU8();
-  const int64_t cnt_base = r->GetSignedVarint64();
-  const int cnt_bits = r->GetU8();
+  CompactHeader hdr;
+  RSR_RETURN_NOT_OK(ReadCompactHeader(
+      r, /*max_mode=*/kSparseMode,
+      CompactChecksumBits(m, 8 * table.params_.checksum_bytes,
+                          BitWidth(table.checksum_mask_)),
+      &hdr));
   const int key_bits = r->GetU8();
   const int key_shift = r->GetU8();
   RSR_RETURN_NOT_OK(r->status());
-  const int chk_bound = CompactChecksumBits(m, table.checksum_mask_,
-                                            table.params_.checksum_bytes);
-  if (mode > 1 || chk_bits < 1 || chk_bits > chk_bound || cnt_bits > 64 ||
-      key_bits > 64 || key_shift > 63 || key_bits + key_shift > 64) {
+  if (key_bits > 64 || key_shift > 63 || key_bits + key_shift > 64) {
     r->Invalidate();
-    return Status::Corruption("invalid compact IBLT header");
+    return Status::Corruption("invalid compact IBLT key column");
   }
-  const uint64_t wire_mask =
-      chk_bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << chk_bits) - 1);
-  const bool sparse = mode == 1;
-  static thread_local std::vector<uint8_t> included;
-  RSR_RETURN_NOT_OK(
-      sketch_internal::ReadInclusionBitmap(r, sparse, m, &included));
+  const uint8_t* included = nullptr;
+  RSR_RETURN_NOT_OK(ReadInclusionBitmap(r, hdr.sparse(), m, &included));
   for (size_t c = 0; c < m; ++c) {
     if (!included[c]) continue;
-    counts[c] = static_cast<int64_t>(static_cast<uint64_t>(cnt_base) +
-                                     r->GetBits(cnt_bits));
+    counts[c] = static_cast<int64_t>(static_cast<uint64_t>(hdr.cnt_base) +
+                                     r->GetBits(hdr.cnt_bits));
     keys[c] = r->GetBits(key_bits) << key_shift;
-    checksums[c] = r->GetBits(chk_bits);
+    checksums[c] = r->GetBits(hdr.chk_bits);
   }
   r->AlignToByte();
-  if (value_size > 0) {
-    uint8_t* values = table.ValueXors();
-    for (size_t c = 0; c < m; ++c) {
-      if (!included[c]) continue;
-      r->GetBytes(values + c * value_size, value_size);
-    }
+  uint8_t* values = table.ValueXors();
+  for (size_t c = 0; value_size > 0 && c < m; ++c) {
+    if (included[c]) r->GetBytes(values + c * value_size, value_size);
   }
   RSR_RETURN_NOT_OK(r->status());
-  table.checksum_mask_ &= wire_mask;
+  table.checksum_mask_ &= LowMask<uint64_t>(hdr.chk_bits);
   return table;
 }
 

@@ -6,10 +6,11 @@
 // symmetric difference and can be decoded by peeling cells with count +-1
 // whose checksum validates. Theorem 2.6: m cells decode cm keys whp.
 //
-// The q-partitioned layout, index polynomials, sharded build, fold walk and
-// compact bitmap are the shared cell-table engine (sketch/cell_table.h).
-// This file holds the XOR algebra: the cell fields, the update op, purity,
-// the peel loop and the codec field encodings. Cell storage is one
+// The q-partitioned layout, index polynomials, sharded build and fold walk
+// are the shared cell-table engine (sketch/cell_table.h), and the compact
+// codec's shared decisions are sketch/cell_codec.h. This file holds the XOR
+// algebra: the cell fields, the update op, purity, the peel loop and the
+// codec's key and value columns. Cell storage is one
 // struct-of-arrays arena (counts | key XORs | checksum XORs | value XORs).
 // Decode peels on thread_local scratch, so Decode/DecodeDiff are const and
 // reentrant: concurrent sessions estimate against one shared snapshot's
@@ -121,7 +122,7 @@ class Iblt {
   size_t num_cells() const { return geometry_.num_cells(); }
 
   /// Effective checksum mask. Locally-built tables carry the full
-  /// ChecksumMask(checksum_bytes); tables parsed from a compact stream carry
+  /// 8*checksum_bytes-bit mask; tables parsed from a compact stream carry
   /// the narrower truncated mask, and DecodeDiff works under the mask
   /// intersection: XOR commutes with masking, so a narrowed table is
   /// indistinguishable from one built narrow.

@@ -1,12 +1,25 @@
 #include "sketch/riblt.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "hashing/checksum.h"
+#include "sketch/cell_codec.h"
 
 namespace rsr {
+
+using sketch_internal::BitWidth;
+using sketch_internal::ColumnRange;
+using sketch_internal::CompactCellPass;
+using sketch_internal::CompactChecksumBits;
+using sketch_internal::CompactHeader;
+using sketch_internal::CompactLayout;
+using sketch_internal::ForRange;
+using sketch_internal::kSparseMode;
+using sketch_internal::LowMask;
+using sketch_internal::PickCompactLayout;
+using sketch_internal::ReadCompactHeader;
+using sketch_internal::ReadInclusionBitmap;
 
 namespace {
 
@@ -18,7 +31,11 @@ inline uint64_t CellChecksum(uint64_t key, uint64_t mixed_salt) {
   return ChecksumWithSalt(key, mixed_salt) & 0xffffffffULL;
 }
 
-using U128 = unsigned __int128;
+using sketch_internal::U128;
+
+/// Compact mode bit 1 (above the shared sparse bit): value sums ship as
+/// mod-2^Wv residues instead of count-slope FoR residuals.
+constexpr uint8_t kValuesModMode = 2;
 
 /// If the cell's contents are C copies of a single key from a single side,
 /// fills |C|, key, side and returns true. Operates on raw slabs so the
@@ -65,35 +82,6 @@ inline bool CellIsPure(const int64_t* counts, const U128* key_sums,
   *side = s;
   return true;
 }
-
-inline int BitWidth128(U128 v) {
-  uint64_t hi = static_cast<uint64_t>(v >> 64);
-  if (hi != 0) return 64 + static_cast<int>(std::bit_width(hi));
-  return static_cast<int>(std::bit_width(static_cast<uint64_t>(v)));
-}
-
-/// Exact encoded size of a LEB128 varint over 128 bits (mirrors
-/// ByteWriter::PutVarint128).
-inline size_t Varint128Size(U128 v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-inline size_t SignedVarint64Size(int64_t v) {
-  uint64_t z = (static_cast<uint64_t>(v) << 1) ^
-               static_cast<uint64_t>(v >> 63);  // zigzag
-  size_t n = 1;
-  while (z >= 0x80) {
-    z >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
 Riblt::Riblt(const RibltParams& params)
@@ -414,23 +402,6 @@ Result<RibltDecodeResult> Riblt::Decode(size_t max_pairs, size_t max_per_side,
   return result;
 }
 
-namespace {
-
-/// Wire checksum-sum width for a compact RIBLT. Purity false positives cost
-/// one trial per peel-loop visit, and visits scale with the decodable load
-/// (~m/4 entries at the peeling threshold), not with the cell count — so a
-/// 2^-16 per-decode budget needs 16 + log2(m/4) bits, two fewer than the
-/// per-cell-trial bound. Capped at 64 bits — checksum terms are 32-bit, so
-/// 64-bit residues are exact for any realistic batch — and at the table's
-/// current mask width.
-int RibltCompactChecksumBits(size_t num_cells, U128 mask) {
-  int bits = 16 + static_cast<int>(std::bit_width((num_cells + 3) / 4));
-  bits = std::min(bits, 64);
-  return std::min(bits, BitWidth128(mask));
-}
-
-}  // namespace
-
 // RSR_ZERO_ALLOC: warm serves encode into a pooled writer
 // (SyncServerTest.WarmServeSerializeDoesNotAllocate).
 void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
@@ -452,10 +423,10 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
     return;
   }
 
-  // Compact: every shipped field is a frame-of-reference delta at the width
-  // its min..max range needs, checksum sums are shipped mod 2^chk_bits, and
-  // a bitmap (sparse mode) drops empty cells when that wins by exact byte
-  // count. Value sums ship in one of two forms, whichever is smaller:
+  // Compact: the shared cell codec (cell_codec.h: FoR counts, truncated
+  // checksum sums, dense or sparse layout) around the RIBLT's own columns:
+  // key sums as a 128-bit FoR column, and value sums in one of two forms,
+  // whichever is smaller:
   //  - FoR residuals against a per-dim count-slope predictor
   //    (val ~ count * val_mu): subtracting the shipped slope removes the
   //    occupancy component of the spread, and the width tracks only the
@@ -467,16 +438,16 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   //    extraction is exact for any cell with <= 8 net diff copies (plus
   //    slack for propagated Figure 1 error). This is what keeps dense
   //    maintained tables from paying full sum width for every cell.
-  // Layout per docs/WIRE.md:
-  //   mode u8 (bit0 sparse, bit1 values-mod) · chk_bits u8 ·
-  //   cnt_base svarint + cnt_bits u8 · key_base varint128 + key_bits u8 ·
-  //   values-mod ? (wv u8) : per-dim (val_mu svarint + val_base svarint +
-  //   val_bits u8) · [bitmap] · bitstream (cnt Δ, key Δ, chk residue,
-  //   val residual Δs or mod residues per included cell) · zero-pad to byte.
-  const int chk_bits = RibltCompactChecksumBits(m, checksum_mask_);
-  const U128 wire_mask = chk_bits >= 128
-                             ? ~static_cast<U128>(0)
-                             : (static_cast<U128>(1) << chk_bits) - 1;
+  // Layout per docs/WIRE.md: header prefix · key_base varint128 + key_bits
+  // u8 · values-mod ? (wv u8) : per-dim (val_mu svarint + val_base svarint +
+  // val_bits u8) · [bitmap] · bitstream (cnt Δ, key Δ, chk residue, val
+  // residual Δs or mod residues per included cell) · zero-pad to byte.
+  // Purity trials scale with the decodable load (~m/4 entries at the peeling
+  // threshold), not with the cell count. Checksum terms are 32-bit, so
+  // 64-bit residues are exact for any realistic batch.
+  const int chk_bits =
+      CompactChecksumBits((m + 3) / 4, 64, BitWidth(checksum_mask_));
+  const U128 wire_mask = LowMask<U128>(chk_bits);
 
   // Count-slope predictor: val_mu[j] = (sum of value sums) / (sum of
   // counts), in wrapping arithmetic. Any slope round-trips exactly; a
@@ -507,159 +478,86 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
             static_cast<uint64_t>(val_mu[j]));
   };
 
-  static thread_local std::vector<uint8_t> included;
-  included.assign(m, 0);
-  // Stats over all cells (dense candidate) and included cells (sparse).
-  int64_t cmin_d = 0, cmax_d = 0, cmin_s = 0, cmax_s = 0;
-  U128 kmin_d = 0, kmax_d = 0, kmin_s = 0, kmax_s = 0;
-  static thread_local std::vector<int64_t> vmin_d, vmax_d, vmin_s, vmax_s;
-  vmin_d.assign(dim, 0);
-  vmax_d.assign(dim, 0);
-  vmin_s.assign(dim, 0);
-  vmax_s.assign(dim, 0);
-  size_t n_included = 0;
-  bool first_s = true;
+  CompactCellPass pass(m);
+  ColumnRange<U128> key_range;
+  static thread_local std::vector<ColumnRange<int64_t>> val_ranges;
+  val_ranges.assign(dim, {});
   for (size_t c = 0; c < m; ++c) {
     const int64_t* vs = &value_sums_[c * dim];
-    if (c == 0) {
-      cmin_d = cmax_d = counts_[0];
-      kmin_d = kmax_d = key_sums_[0];
-      for (size_t j = 0; j < dim; ++j) vmin_d[j] = vmax_d[j] = val_resid(0, j);
-    } else {
-      cmin_d = std::min(cmin_d, counts_[c]);
-      cmax_d = std::max(cmax_d, counts_[c]);
-      kmin_d = std::min(kmin_d, key_sums_[c]);
-      kmax_d = std::max(kmax_d, key_sums_[c]);
-      for (size_t j = 0; j < dim; ++j) {
-        const int64_t rv = val_resid(c, j);
-        vmin_d[j] = std::min(vmin_d[j], rv);
-        vmax_d[j] = std::max(vmax_d[j], rv);
-      }
-    }
-    bool nonzero = counts_[c] != 0 || key_sums_[c] != 0 ||
-                   (checksum_sums_[c] & wire_mask) != 0;
-    if (!nonzero) {
-      for (size_t j = 0; j < dim; ++j) {
-        if ((static_cast<uint64_t>(vs[j]) & value_mask_) != 0) {
-          nonzero = true;
-          break;
-        }
-      }
-    }
-    if (!nonzero) continue;
-    included[c] = 1;
-    ++n_included;
-    if (first_s) {
-      first_s = false;
-      cmin_s = cmax_s = counts_[c];
-      kmin_s = kmax_s = key_sums_[c];
-      for (size_t j = 0; j < dim; ++j) vmin_s[j] = vmax_s[j] = val_resid(c, j);
-    } else {
-      cmin_s = std::min(cmin_s, counts_[c]);
-      cmax_s = std::max(cmax_s, counts_[c]);
-      kmin_s = std::min(kmin_s, key_sums_[c]);
-      kmax_s = std::max(kmax_s, key_sums_[c]);
-      for (size_t j = 0; j < dim; ++j) {
-        const int64_t rv = val_resid(c, j);
-        vmin_s[j] = std::min(vmin_s[j], rv);
-        vmax_s[j] = std::max(vmax_s[j], rv);
-      }
+    const bool included =
+        counts_[c] != 0 || key_sums_[c] != 0 ||
+        (checksum_sums_[c] & wire_mask) != 0 ||
+        std::any_of(vs, vs + dim, [&](int64_t v) {
+          return (static_cast<uint64_t>(v) & value_mask_) != 0;
+        });
+    pass.Add(c, counts_[c], included);
+    key_range.Add(key_sums_[c], included);
+    for (size_t j = 0; j < dim; ++j) {
+      val_ranges[j].Add(val_resid(c, j), included);
     }
   }
 
-  auto range_bits64 = [](int64_t lo, int64_t hi) {
-    return static_cast<int>(std::bit_width(static_cast<uint64_t>(hi) -
-                                           static_cast<uint64_t>(lo)));
-  };
-  const int cnt_bits_d = range_bits64(cmin_d, cmax_d);
-  const int cnt_bits_s = n_included == 0 ? 0 : range_bits64(cmin_s, cmax_s);
-  const int key_bits_d = BitWidth128(kmax_d - kmin_d);
-  const int key_bits_s = n_included == 0 ? 0 : BitWidth128(kmax_s - kmin_s);
-  const size_t base_bits_d =
-      static_cast<size_t>(cnt_bits_d + key_bits_d + chk_bits);
-  const size_t base_bits_s =
-      static_cast<size_t>(cnt_bits_s + key_bits_s + chk_bits);
   // Mod-value wire width: enough for +-8 copies of a delta-bounded
   // coordinate after the receiver's subtraction, clamped by an already
   // narrowed value mask (re-serialized parses) and the 64-bit slab.
-  const int wv_mod = std::min(
-      {64,
-       static_cast<int>(
-           std::bit_width(static_cast<uint64_t>(params_.delta))) +
-           4,
-       static_cast<int>(std::bit_width(value_mask_))});
-  size_t val_for_bits_d = 0, val_for_bits_s = 0;
-  size_t val_for_hdr = 0;
-  for (size_t j = 0; j < dim; ++j) {
-    val_for_bits_d += static_cast<size_t>(range_bits64(vmin_d[j], vmax_d[j]));
-    val_for_bits_s +=
-        n_included == 0
-            ? 0
-            : static_cast<size_t>(range_bits64(vmin_s[j], vmax_s[j]));
-    val_for_hdr += SignedVarint64Size(val_mu[j]) + 1;
-  }
-  size_t val_for_hdr_d = val_for_hdr, val_for_hdr_s = val_for_hdr;
-  for (size_t j = 0; j < dim; ++j) {
-    val_for_hdr_d += SignedVarint64Size(vmin_d[j]);
-    val_for_hdr_s += SignedVarint64Size(vmin_s[j]);
-  }
-  const size_t val_mod_bits = dim * static_cast<size_t>(wv_mod);
-  const size_t hdr_d =
-      2 + SignedVarint64Size(cmin_d) + 1 + Varint128Size(kmin_d) + 1;
-  const size_t hdr_s = 2 + SignedVarint64Size(cmin_s) + 1 +
-                       Varint128Size(kmin_s) + 1 + (m + 7) / 8;
-  // Four candidates: {dense, sparse} x {FoR values, mod values}; exact byte
-  // counts, deterministic preference order on ties.
-  const size_t size_df =
-      hdr_d + val_for_hdr_d + (m * (base_bits_d + val_for_bits_d) + 7) / 8;
-  const size_t size_dm = hdr_d + 1 + (m * (base_bits_d + val_mod_bits) + 7) / 8;
-  const size_t size_sf = hdr_s + val_for_hdr_s +
-                         (n_included * (base_bits_s + val_for_bits_s) + 7) / 8;
-  const size_t size_sm =
-      hdr_s + 1 + (n_included * (base_bits_s + val_mod_bits) + 7) / 8;
-  const size_t best = std::min({size_df, size_dm, size_sf, size_sm});
-  const bool sparse = best != size_df && best != size_dm;
-  const bool vmod = sparse ? best != size_sf : (best != size_df);
+  const int wv_mod =
+      std::min({64,
+                BitWidth(static_cast<uint64_t>(params_.delta)) + 4,
+                BitWidth(value_mask_)});
+  // Four candidates, {dense, sparse} x {FoR values, mod values}, each at its
+  // exact byte size.
+  auto candidate_bytes = [&](bool sparse, bool vmod) {
+    const ForRange<U128>& key = key_range.of(sparse);
+    size_t header = pass.HeaderBytes(sparse) + Varint128Size(key.base()) + 1;
+    size_t bits = static_cast<size_t>(pass.counts(sparse).bits() +
+                                      key.bits() + chk_bits);
+    if (vmod) {
+      header += 1;
+      bits += dim * static_cast<size_t>(wv_mod);
+    } else {
+      for (size_t j = 0; j < dim; ++j) {
+        const ForRange<int64_t>& val = val_ranges[j].of(sparse);
+        header += SignedVarint64Size(val_mu[j]) +
+                  SignedVarint64Size(val.base()) + 1;
+        bits += static_cast<size_t>(val.bits());
+      }
+    }
+    return header + pass.BodyBytes(sparse, bits);
+  };
+  const CompactLayout layout = PickCompactLayout<2>(
+      {candidate_bytes(false, false), candidate_bytes(false, true)},
+      {candidate_bytes(true, false), candidate_bytes(true, true)});
+  const bool sparse = layout.sparse;
+  const bool vmod = layout.variant == 1;
+  const ForRange<int64_t>& cnt = pass.counts(sparse);
+  const int cnt_bits = cnt.bits();
+  const ForRange<U128>& key = key_range.of(sparse);
+  const int key_bits = key.bits();
+  const uint64_t wv_mask = LowMask<uint64_t>(wv_mod);
 
-  const int64_t cnt_base = sparse ? cmin_s : cmin_d;
-  const int cnt_bits = sparse ? cnt_bits_s : cnt_bits_d;
-  const U128 key_base = sparse ? kmin_s : kmin_d;
-  const int key_bits = sparse ? key_bits_s : key_bits_d;
-  const std::vector<int64_t>& vmin = sparse ? vmin_s : vmin_d;
-  const std::vector<int64_t>& vmax = sparse ? vmax_s : vmax_d;
-  const uint64_t wv_mask = wv_mod >= 64 ? ~static_cast<uint64_t>(0)
-                                        : (uint64_t{1} << wv_mod) - 1;
-
-  // The candidate sizes above are exact, so one reserve covers the whole
-  // encode: a cold pooled writer allocates at most once per table and a
-  // warm one (EmdServeScratch::message) not at all.
-  w->Reserve(w->size_bytes() + best);
-  w->PutU8(static_cast<uint8_t>((sparse ? 1 : 0) | (vmod ? 2 : 0)));
-  w->PutU8(static_cast<uint8_t>(chk_bits));
-  w->PutSignedVarint64(cnt_base);
-  w->PutU8(static_cast<uint8_t>(cnt_bits));
-  w->PutVarint128(key_base);
+  // The candidate sizes are exact, so one reserve covers the whole encode: a
+  // cold pooled writer allocates at most once per table and a warm one
+  // (EmdServeScratch::message) not at all.
+  w->Reserve(w->size_bytes() + layout.bytes);
+  const int mode = (sparse ? kSparseMode : 0) | (vmod ? kValuesModMode : 0);
+  pass.WriteHeader(w, static_cast<uint8_t>(mode), chk_bits);
+  w->PutVarint128(key.base());
   w->PutU8(static_cast<uint8_t>(key_bits));
-  static thread_local std::vector<uint8_t> val_bits;
-  val_bits.assign(dim, 0);
   if (vmod) {
     w->PutU8(static_cast<uint8_t>(wv_mod));
   } else {
     for (size_t j = 0; j < dim; ++j) {
-      val_bits[j] = static_cast<uint8_t>(
-          sparse && n_included == 0 ? 0 : range_bits64(vmin[j], vmax[j]));
+      const ForRange<int64_t>& val = val_ranges[j].of(sparse);
       w->PutSignedVarint64(val_mu[j]);
-      w->PutSignedVarint64(vmin[j]);
-      w->PutU8(val_bits[j]);
+      w->PutSignedVarint64(val.base());
+      w->PutU8(static_cast<uint8_t>(val.bits()));
     }
   }
-  if (sparse) sketch_internal::WriteInclusionBitmap(w, included.data(), m);
+  if (sparse) pass.WriteBitmap(w);
   for (size_t c = 0; c < m; ++c) {
-    if (sparse && !included[c]) continue;
-    w->PutBits(static_cast<uint64_t>(counts_[c]) -
-                   static_cast<uint64_t>(cnt_base),
-               cnt_bits);
-    w->PutBits128(key_sums_[c] - key_base, key_bits);
+    if (sparse && !pass.included(c)) continue;
+    w->PutBits(cnt.Offset(counts_[c]), cnt_bits);
+    w->PutBits128(key.Offset(key_sums_[c]), key_bits);
     w->PutBits(static_cast<uint64_t>(checksum_sums_[c] & wire_mask),
                chk_bits);
     const int64_t* vs = &value_sums_[c * dim];
@@ -667,9 +565,8 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
       if (vmod) {
         w->PutBits(static_cast<uint64_t>(vs[j]) & wv_mask, wv_mod);
       } else {
-        w->PutBits(static_cast<uint64_t>(val_resid(c, j)) -
-                       static_cast<uint64_t>(vmin[j]),
-                   val_bits[j]);
+        const ForRange<int64_t>& val = val_ranges[j].of(sparse);
+        w->PutBits(val.Offset(val_resid(c, j)), val.bits());
       }
     }
   }
@@ -695,20 +592,19 @@ Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
     return table;
   }
 
-  const uint8_t mode = r->GetU8();
-  const int chk_bits = r->GetU8();
-  const int64_t cnt_base = r->GetSignedVarint64();
-  const int cnt_bits = r->GetU8();
+  CompactHeader hdr;
+  RSR_RETURN_NOT_OK(ReadCompactHeader(
+      r, /*max_mode=*/kSparseMode | kValuesModMode,
+      CompactChecksumBits((m + 3) / 4, 64, BitWidth(table.checksum_mask_)),
+      &hdr));
   const U128 key_base = r->GetVarint128();
   const int key_bits = r->GetU8();
   RSR_RETURN_NOT_OK(r->status());
-  const int chk_bound = RibltCompactChecksumBits(m, table.checksum_mask_);
-  if (mode > 3 || chk_bits < 1 || chk_bits > chk_bound || cnt_bits > 64 ||
-      key_bits > 128) {
+  if (key_bits > 128) {
     r->Invalidate();
-    return Status::Corruption("invalid compact RIBLT header");
+    return Status::Corruption("invalid compact RIBLT key column");
   }
-  const bool vmod = (mode & 2) != 0;
+  const bool vmod = (hdr.mode & kValuesModMode) != 0;
   int wv_mod = 0;
   static thread_local std::vector<int64_t> val_mu;
   static thread_local std::vector<int64_t> val_base;
@@ -733,19 +629,14 @@ Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
       }
     }
   }
-  const U128 wire_mask = chk_bits >= 128
-                             ? ~static_cast<U128>(0)
-                             : (static_cast<U128>(1) << chk_bits) - 1;
-  const bool sparse = (mode & 1) != 0;
-  static thread_local std::vector<uint8_t> included;
-  RSR_RETURN_NOT_OK(
-      sketch_internal::ReadInclusionBitmap(r, sparse, m, &included));
+  const uint8_t* included = nullptr;
+  RSR_RETURN_NOT_OK(ReadInclusionBitmap(r, hdr.sparse(), m, &included));
   for (size_t c = 0; c < m; ++c) {
     if (!included[c]) continue;
     table.counts_[c] = static_cast<int64_t>(
-        static_cast<uint64_t>(cnt_base) + r->GetBits(cnt_bits));
+        static_cast<uint64_t>(hdr.cnt_base) + r->GetBits(hdr.cnt_bits));
     table.key_sums_[c] = key_base + r->GetBits128(key_bits);
-    table.checksum_sums_[c] = static_cast<U128>(r->GetBits(chk_bits));
+    table.checksum_sums_[c] = static_cast<U128>(r->GetBits(hdr.chk_bits));
     int64_t* vs = &table.value_sums_[c * dim];
     if (vmod) {
       // Raw residues mod 2^wv; stored zero-extended. The narrowed value
@@ -766,11 +657,8 @@ Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
   }
   r->AlignToByte();
   RSR_RETURN_NOT_OK(r->status());
-  table.checksum_mask_ &= wire_mask;
-  if (vmod) {
-    table.value_mask_ &= wv_mod >= 64 ? ~static_cast<uint64_t>(0)
-                                      : (uint64_t{1} << wv_mod) - 1;
-  }
+  table.checksum_mask_ &= LowMask<U128>(hdr.chk_bits);
+  if (vmod) table.value_mask_ &= LowMask<uint64_t>(wv_mod);
   return table;
 }
 

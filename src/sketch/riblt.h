@@ -22,8 +22,9 @@
 // other cells.
 //
 // Everything else (q-partitioned layout, index polynomials, sharded build,
-// fold walk, compact bitmap) is the cell-table engine shared with the IBLT
-// (sketch/cell_table.h). Update/UpdateMany never allocate, and DecodeInto
+// fold walk) is the cell-table engine shared with the IBLT
+// (sketch/cell_table.h), and the compact codec's shared decisions are
+// sketch/cell_codec.h. Update/UpdateMany never allocate, and DecodeInto
 // peels on thread_local scratch, so it is const and reentrant: any number of
 // threads may decode one table concurrently.
 #ifndef RSR_SKETCH_RIBLT_H_

@@ -69,7 +69,7 @@ class StrataEstimator {
   /// full configured checksum width, so EstimateDiff over parsed estimators
   /// — and therefore adaptive size negotiation — is codec-invariant; wider
   /// configurations may truncate down to the 16 + log2(cells) per-peel
-  /// budget (see iblt.cc).
+  /// budget (CompactChecksumBits in sketch/cell_codec.h).
   void WriteTo(ByteWriter* w, WireCodec codec = DefaultWireCodec()) const;
   static Result<StrataEstimator> ReadFrom(
       ByteReader* r, const StrataParams& params,

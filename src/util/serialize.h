@@ -27,6 +27,24 @@
 
 namespace rsr {
 
+/// Exact encoded size of ByteWriter::PutVarint128(v).
+inline size_t Varint128Size(unsigned __int128 v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+/// Exact encoded size of ByteWriter::PutSignedVarint64(v) (zigzag, then
+/// LEB128).
+inline size_t SignedVarint64Size(int64_t v) {
+  const unsigned __int128 zigzag =
+      (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+  return Varint128Size(zigzag);
+}
+
 /// Append-only binary encoder.
 class ByteWriter {
  public:

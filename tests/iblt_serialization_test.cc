@@ -1,6 +1,9 @@
 // Serialization round-trip coverage for Iblt::WriteTo/ReadFrom across the
 // parameter grid the protocols actually use: keys-only and valued tables,
 // checksum widths 1/4/8, and subtraction/decoding on round-tripped tables.
+// The compact-layout fixtures at the end pin each compact layout (dense,
+// sparse, sparse with a value slab) under an explicit codec, so they run
+// whatever RSR_WIRE_CODEC selects as the default.
 #include <set>
 #include <vector>
 
@@ -156,6 +159,86 @@ TEST(IbltSerializationTest, ValueResidueRoundTripsAndBlocksCompleteness) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(Serialize(*restored), wire);
   EXPECT_FALSE(restored->Decode().complete);
+}
+
+// ---- Compact layouts --------------------------------------------------------
+
+std::vector<uint8_t> SerializeCompact(const Iblt& table) {
+  ByteWriter w;
+  table.WriteTo(&w, WireCodec::kCompact);
+  return w.buffer();
+}
+
+void ExpectSameDecode(const Result<IbltDecodeResult>& a,
+                      const Result<IbltDecodeResult>& b) {
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->complete, b->complete);
+  ASSERT_EQ(a->entries.size(), b->entries.size());
+  for (size_t i = 0; i < a->entries.size(); ++i) {
+    EXPECT_EQ(a->entries[i].key, b->entries[i].key);
+    EXPECT_EQ(a->entries[i].count, b->entries[i].count);
+    EXPECT_EQ(a->entries[i].value, b->entries[i].value);
+  }
+}
+
+/// The compact stream of `alice` starts with mode byte `mode`, parses back to
+/// a table whose difference against `bob` decodes exactly like the source's,
+/// and re-serializes to the same bytes.
+void ExpectCompactLayout(const Iblt& alice, const Iblt& bob, uint8_t mode) {
+  const std::vector<uint8_t> wire = SerializeCompact(alice);
+  ASSERT_FALSE(wire.empty());
+  EXPECT_EQ(wire[0], mode);
+  ByteReader r(wire);
+  auto parsed = Iblt::ReadFrom(&r, alice.params(), WireCodec::kCompact);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(r.FinishAndCheckConsumed().ok());
+  EXPECT_EQ(SerializeCompact(*parsed), wire);
+  const auto expected = alice.DecodeDiff(bob);
+  ExpectSameDecode(expected, parsed->DecodeDiff(bob));
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(expected->complete);
+}
+
+/// Alice holds `shared` keys plus 4 of her own, Bob `shared` plus 3 of his:
+/// a 7-entry difference however loaded the tables are.
+void FillPair(size_t shared, size_t value_size, uint64_t seed, Iblt* alice,
+              Iblt* bob) {
+  Rng rng(seed);
+  std::vector<uint8_t> value(value_size);
+  auto update = [&](Iblt* table, uint64_t key) {
+    for (auto& v : value) v = static_cast<uint8_t>(key >> 3);
+    table->Update(key, value_size == 0 ? nullptr : value.data(), +1);
+  };
+  for (size_t i = 0; i < shared; ++i) {
+    const uint64_t key = rng.Next();
+    update(alice, key);
+    update(bob, key);
+  }
+  for (int i = 0; i < 4; ++i) update(alice, rng.Next());
+  for (int i = 0; i < 3; ++i) update(bob, rng.Next());
+}
+
+TEST(IbltCompactLayoutTest, LoadedTableShipsDense) {
+  // Every cell is occupied, so the bitmap cannot pay for itself.
+  const IbltParams params = MakeParams(96, 3, 0, 4, 21);
+  Iblt alice(params), bob(params);
+  FillPair(300, 0, 1, &alice, &bob);
+  ExpectCompactLayout(alice, bob, /*mode=*/0);
+}
+
+TEST(IbltCompactLayoutTest, LightTableShipsSparse) {
+  const IbltParams params = MakeParams(960, 3, 0, 4, 22);
+  Iblt alice(params), bob(params);
+  FillPair(20, 0, 2, &alice, &bob);
+  ExpectCompactLayout(alice, bob, /*mode=*/1);
+}
+
+TEST(IbltCompactLayoutTest, LightValuedTableShipsSparseWithValueSlab) {
+  const IbltParams params = MakeParams(960, 3, 8, 4, 23);
+  Iblt alice(params), bob(params);
+  FillPair(20, 8, 3, &alice, &bob);
+  ExpectCompactLayout(alice, bob, /*mode=*/1);
 }
 
 }  // namespace

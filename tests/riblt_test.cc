@@ -3,7 +3,8 @@
 // Covers: exact recovery with unique keys, duplicate-key extraction with
 // averaging + randomized rounding (requirement 5), the error-propagation
 // mechanism (Figure 1), domain clamping, per-side caps, FIFO peeling, and
-// serialization.
+// serialization, including one fixture per compact layout (dense or sparse,
+// count-slope FoR or mod-2^w values) under an explicit codec.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -386,6 +387,116 @@ TEST_P(RibltSizeTest, PaperSizingDecodesReliably) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RibltSizeTest,
                          ::testing::Values(1, 2, 4, 8, 16, 32));
+
+// ---- Compact layouts --------------------------------------------------------
+
+/// Row i of `rows` carries key keys[i].
+struct KeyedRows {
+  std::vector<uint64_t> keys;
+  PointStore rows;
+};
+
+void AddRows(KeyedRows* out, uint64_t key, size_t copies, size_t dim,
+             Coord delta, Rng* rng, const std::vector<Coord>& fixed = {}) {
+  for (size_t c = 0; c < copies; ++c) {
+    Coord* row = out->rows.AppendRow();
+    for (size_t j = 0; j < dim; ++j) {
+      row[j] = fixed.empty() ? rng->UniformInt(0, delta) : fixed[j];
+    }
+    out->keys.push_back(key);
+  }
+}
+
+/// Alice and Bob share `keys` keys of `copies` rows each (coordinates
+/// `fixed`, or uniform in [0, delta] when empty); Alice adds 3 rows of her
+/// own and Bob 2 of his.
+void FillPair(size_t keys, size_t copies, size_t dim, Coord delta,
+              const std::vector<Coord>& fixed, uint64_t seed, KeyedRows* alice,
+              KeyedRows* bob) {
+  Rng rng(seed);
+  alice->rows = PointStore(dim);
+  bob->rows = PointStore(dim);
+  const uint64_t kKeyMask = (uint64_t{1} << 40) - 1;
+  for (size_t k = 0; k < keys; ++k) {
+    const uint64_t key = rng.Next() & kKeyMask;
+    const size_t begin = alice->rows.size();
+    AddRows(alice, key, copies, dim, delta, &rng, fixed);
+    for (size_t i = begin; i < alice->rows.size(); ++i) {
+      bob->rows.Append(alice->rows[i]);
+      bob->keys.push_back(key);
+    }
+  }
+  for (int i = 0; i < 3; ++i) {
+    AddRows(alice, rng.Next() & kKeyMask, 1, dim, delta, &rng, fixed);
+  }
+  for (int i = 0; i < 2; ++i) {
+    AddRows(bob, rng.Next() & kKeyMask, 1, dim, delta, &rng);
+  }
+}
+
+std::vector<uint8_t> SerializeCompact(const Riblt& table) {
+  ByteWriter w;
+  table.WriteTo(&w, WireCodec::kCompact);
+  return w.buffer();
+}
+
+/// Alice's compact stream starts with mode byte `mode` (bit 0 sparse, bit 1
+/// mod-2^w values) and re-serializes byte-stably after a parse. Once Bob
+/// deletes his rows from both, the parse decodes exactly like the source.
+void ExpectCompactLayout(const RibltParams& params, const KeyedRows& alice_rows,
+                         const KeyedRows& bob, uint8_t mode) {
+  Riblt alice(params);
+  alice.InsertMany(alice_rows.keys, alice_rows.rows);
+  const std::vector<uint8_t> wire = SerializeCompact(alice);
+  ASSERT_FALSE(wire.empty());
+  EXPECT_EQ(wire[0], mode);
+  ByteReader r(wire);
+  auto parsed = Riblt::ReadFrom(&r, params, WireCodec::kCompact);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(r.FinishAndCheckConsumed().ok());
+  EXPECT_EQ(SerializeCompact(*parsed), wire);
+
+  alice.DeleteMany(bob.keys, bob.rows);
+  parsed->DeleteMany(bob.keys, bob.rows);
+  Rng rng_a(5), rng_b(5);
+  auto a = alice.Decode(64, 64, &rng_a);
+  auto b = parsed->Decode(64, 64, &rng_b);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->inserted.size(), 3u);
+  EXPECT_EQ(a->deleted.size(), 2u);
+  EXPECT_EQ(a->inserted, b->inserted);
+  EXPECT_EQ(a->deleted, b->deleted);
+  EXPECT_EQ(a->inserted_keys, b->inserted_keys);
+  EXPECT_EQ(a->deleted_keys, b->deleted_keys);
+}
+
+TEST(RibltCompactLayoutTest, LoadedTableWithFlatValuesShipsDenseFor) {
+  // Every cell occupied; equal rows make the count-slope residuals zero.
+  KeyedRows alice, bob;
+  FillPair(120, 1, 2, 1000, {7, 9}, 1, &alice, &bob);
+  ExpectCompactLayout(MakeParams(60, 2, 1000), alice, bob, /*mode=*/0);
+}
+
+TEST(RibltCompactLayoutTest, LoadedTableWithNoisyValuesShipsDenseMod) {
+  // Hundreds of rows per cell: residual spread exceeds the mod width.
+  KeyedRows alice, bob;
+  FillPair(20000, 1, 4, 1, {}, 2, &alice, &bob);
+  ExpectCompactLayout(MakeParams(60, 4, 1), alice, bob, /*mode=*/2);
+}
+
+TEST(RibltCompactLayoutTest, LightTableWithFlatValuesShipsSparseFor) {
+  KeyedRows alice, bob;
+  FillPair(6, 1, 2, 1000, {7, 9}, 3, &alice, &bob);
+  ExpectCompactLayout(MakeParams(300, 2, 1000), alice, bob, /*mode=*/1);
+}
+
+TEST(RibltCompactLayoutTest, LightTableWithHeavyKeysShipsSparseMod) {
+  // A coarse level: few keys, thousands of noisy copies each.
+  KeyedRows alice, bob;
+  FillPair(8, 2000, 4, 1, {}, 4, &alice, &bob);
+  ExpectCompactLayout(MakeParams(300, 4, 1), alice, bob, /*mode=*/3);
+}
 
 }  // namespace
 }  // namespace rsr

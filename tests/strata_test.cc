@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hashing/hash64.h"
 #include "sketch/strata.h"
 #include "util/random.h"
 
@@ -187,6 +188,56 @@ TEST(StrataTest, SerializationRoundTrip) {
   ASSERT_TRUE(original_est.ok());
   ASSERT_TRUE(restored_est.ok());
   EXPECT_EQ(*original_est, *restored_est);
+}
+
+TEST(StrataTest, CompactEstimatorShipsDenseAndSparseStrata) {
+  // Shallow strata hold half, a quarter, ... of the keys and ship dense;
+  // deep strata are nearly empty and ship sparse. The codec is explicit, so
+  // this runs whatever RSR_WIRE_CODEC selects as the default.
+  const StrataParams params = MakeParams(31);
+  StrataEstimator alice(params), bob(params);
+  Rng rng(8);
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t key = rng.Next();
+    alice.Insert(key);
+    if (i % 100 != 0) bob.Insert(key);
+  }
+  for (int i = 0; i < 10; ++i) bob.Insert(rng.Next());
+
+  ByteWriter w;
+  alice.WriteTo(&w, WireCodec::kCompact);
+  const std::vector<uint8_t>& wire = w.buffer();
+
+  // Walk the strata one IBLT at a time to read each one's mode byte.
+  bool saw_dense = false, saw_sparse = false;
+  ByteReader walk(wire);
+  for (int i = 0; i < params.num_strata; ++i) {
+    IbltParams stratum;
+    stratum.num_cells = params.cells_per_stratum;
+    stratum.num_hashes = params.num_hashes;
+    stratum.checksum_bytes = params.checksum_bytes;
+    stratum.seed = HashCombine(params.seed, static_cast<uint64_t>(i));
+    const uint8_t mode = wire[wire.size() - walk.remaining()];
+    saw_dense |= mode == 0;
+    saw_sparse |= mode == 1;
+    ASSERT_TRUE(Iblt::ReadFrom(&walk, stratum, WireCodec::kCompact).ok());
+  }
+  EXPECT_TRUE(walk.FinishAndCheckConsumed().ok());
+  EXPECT_TRUE(saw_dense);
+  EXPECT_TRUE(saw_sparse);
+
+  ByteReader r(wire);
+  auto parsed = StrataEstimator::ReadFrom(&r, params, WireCodec::kCompact);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(r.FinishAndCheckConsumed().ok());
+  ByteWriter again;
+  parsed->WriteTo(&again, WireCodec::kCompact);
+  EXPECT_EQ(again.buffer(), wire);
+  auto expected = alice.EstimateDiff(bob);
+  auto actual = parsed->EstimateDiff(bob);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(actual.ok());
+  EXPECT_EQ(*expected, *actual);
 }
 
 }  // namespace

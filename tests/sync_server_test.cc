@@ -184,14 +184,14 @@ TEST(SyncServerTest, ServedStateTracksBatchedChurn) {
   EXPECT_EQ(served->comm.total_bits(), one_shot->comm.total_bits());
 }
 
-TEST(SyncServerTest, ConcurrentChurnAndSync) {
-  // One writer thread churns the dataset through the server while reader
-  // threads continuously open sessions and run full syncs. n is held
-  // constant (each batch nets to zero) so every session's client size
-  // matches; decode failures are acceptable outcomes, data races are not —
-  // this is the test the TSan CI leg gates on.
+// One writer thread churns the dataset through the server while reader
+// threads continuously open sessions and run full syncs. n is held constant
+// (each batch nets to zero) so every session's client size matches; decode
+// failures are acceptable outcomes, data races are not.
+void RunConcurrentChurnAndSync(WireCodec codec) {
   EmdProtocolParams params = ServerParams();
   params.k = 8;
+  params.codec = codec;
   PointStore pool = DistinctPool(260, 15);
   PointStore initial(3), client(3);
   for (size_t i = 0; i < 128; ++i) initial.Append(pool[i]);
@@ -233,6 +233,15 @@ TEST(SyncServerTest, ConcurrentChurnAndSync) {
   EXPECT_TRUE(readers_ok);
   EXPECT_EQ(server.size(), 128u);
   EXPECT_EQ(server.generation(), 60u);
+}
+
+// The test the TSan CI leg gates on. Both codecs run, so the compact
+// writers' and readers' per-thread pools are exercised concurrently too.
+TEST(SyncServerTest, ConcurrentChurnAndSync) {
+  for (WireCodec codec : {WireCodec::kClassic, WireCodec::kCompact}) {
+    SCOPED_TRACE(static_cast<int>(codec));
+    RunConcurrentChurnAndSync(codec);
+  }
 }
 
 // ---- Adaptive warm serving (fold-down projection) ---------------------------
@@ -320,14 +329,15 @@ TEST(SyncServerAdaptiveTest, AdaptiveSessionShipsFewerBytesThanStatic) {
             static_report->comm.total_bits());
 }
 
-TEST(SyncServerAdaptiveTest, ConcurrentAdaptiveSessions) {
-  // The adaptive analogue of ConcurrentChurnAndSync — and the reason
-  // StrataEstimator::EstimateDiff had to become reentrant: concurrent
-  // sessions negotiate against ONE shared snapshot's estimators while a
-  // writer churns the live dataset. Each reader owns its session (the fold
-  // scratch is per-session state); the snapshot underneath is shared.
+// The adaptive analogue of ConcurrentChurnAndSync — and the reason
+// StrataEstimator::EstimateDiff had to become reentrant: concurrent sessions
+// negotiate against ONE shared snapshot's estimators while a writer churns
+// the live dataset. Each reader owns its session (the fold scratch is
+// per-session state); the snapshot underneath is shared.
+void RunConcurrentAdaptiveSessions(WireCodec codec) {
   EmdProtocolParams params = AdaptiveServerParams(35);
   params.k = 8;
+  params.codec = codec;
   PointStore pool = DistinctPool(260, 23);
   PointStore initial(3), client(3);
   for (size_t i = 0; i < 128; ++i) initial.Append(pool[i]);
@@ -371,6 +381,13 @@ TEST(SyncServerAdaptiveTest, ConcurrentAdaptiveSessions) {
   EXPECT_TRUE(readers_ok);
   EXPECT_EQ(server.size(), 128u);
   EXPECT_EQ(server.generation(), 60u);
+}
+
+TEST(SyncServerAdaptiveTest, ConcurrentAdaptiveSessions) {
+  for (WireCodec codec : {WireCodec::kClassic, WireCodec::kCompact}) {
+    SCOPED_TRACE(static_cast<int>(codec));
+    RunConcurrentAdaptiveSessions(codec);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for util/: Status, Result, Rng, serialization.
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -223,6 +224,24 @@ TEST(SerializeTest, ZigzagIsCompactNearZero) {
   w.PutSignedVarint64(-1);
   w.PutSignedVarint64(1);
   EXPECT_EQ(w.size_bytes(), 2u);
+}
+
+TEST(SerializeTest, VarintSizesMatchEncoderOutput) {
+  // The compact writers reserve their exact output size from these.
+  using U128 = unsigned __int128;
+  const U128 kTwo63 = U128{1} << 63;
+  for (U128 v : {U128{0}, U128{127}, U128{128}, kTwo63, ~U128{0}}) {
+    ByteWriter w;
+    w.PutVarint128(v);
+    EXPECT_EQ(Varint128Size(v), w.size_bytes());
+  }
+  for (int64_t v : {int64_t{0}, int64_t{127}, int64_t{128},
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    ByteWriter w;
+    w.PutSignedVarint64(v);
+    EXPECT_EQ(SignedVarint64Size(v), w.size_bytes()) << v;
+  }
 }
 
 TEST(SerializeTest, DoubleRoundTrip) {
