@@ -112,28 +112,9 @@ BENCHMARK(BM_PStableEval);
 
 // ---- Batched LSH evaluation pipeline (bench_lsh group) ---------------------
 //
-// BM_EvaluateAllScalar preserves the pre-batch EMD hot loop (one virtual
-// Eval per (point, draw), one heap row per point) as the comparison
-// baseline; BM_EvaluateAll is the shipping pipeline (EvaluateAllInto:
-// function-major EvalBatch into one flat matrix). Same for the
-// per-level-key pair BM_PairwisePrefixesScalar / BM_PairwisePrefixes.
-
-void BM_GridEvalBatch(benchmark::State& state) {
-  // Per-point rate of the function-major grid loop over 4096 points.
-  GridFamily family(8, 32.0);
-  Rng rng(5);
-  auto h = family.Draw(&rng);
-  PointSet points = GenerateUniform(4096, 8, 1023, &rng);
-  std::vector<uint64_t> out(points.size());
-  for (auto _ : state) {
-    h->EvalBatch(points, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(points.size()));
-}
-BENCHMARK(BM_GridEvalBatch);
+// BM_EvaluateAll is the shipping pipeline (EvaluateAllInto: one batch call
+// per (function, block) into one flat matrix); BM_PairwisePrefixes derives
+// every level key of a row in one incremental pass.
 
 void BM_PairwisePrefixes(benchmark::State& state) {
   // All 8 level keys of one s=64 row in a single incremental pass.
@@ -150,22 +131,6 @@ void BM_PairwisePrefixes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairwisePrefixes);
-
-void BM_PairwisePrefixesScalar(benchmark::State& state) {
-  // Pre-batch equivalent: one full Eval per level, O(s) each.
-  Rng rng(4);
-  PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
-  std::vector<uint64_t> row(64);
-  for (size_t i = 0; i < row.size(); ++i) row[i] = i * 7919;
-  const std::vector<size_t> lens = {1, 2, 4, 8, 16, 32, 64, 64};
-  std::vector<uint64_t> keys(lens.size());
-  for (auto _ : state) {
-    for (size_t t = 0; t < lens.size(); ++t) keys[t] = h.Eval(row, lens[t]);
-    benchmark::DoNotOptimize(keys.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_PairwisePrefixesScalar);
 
 void BM_EvaluateAll(benchmark::State& state) {
   // The EMD protocol's point-hashing stage: n=4096 points x s=64 MLSH draws
@@ -193,37 +158,12 @@ void BM_EvaluateAll(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAll);
 
-void BM_EvaluateAllScalar(benchmark::State& state) {
-  // The pre-batch pipeline this PR replaced, kept as the speedup baseline.
-  Rng rng(16);
-  std::unique_ptr<MlshFamily> family = MakeMlshFamily(MetricKind::kL2, 8, 32.0);
-  Rng draw_rng(17);
-  std::vector<std::unique_ptr<LshFunction>> draws =
-      DrawMany(*family, 64, &draw_rng);
-  PointSet points = GenerateUniform(4096, 8, 1023, &rng);
-  for (auto _ : state) {
-    std::vector<std::vector<uint64_t>> evals(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-      evals[i].resize(draws.size());
-      for (size_t g = 0; g < draws.size(); ++g) {
-        evals[i][g] = draws[g]->Eval(points[i]);
-      }
-    }
-    benchmark::DoNotOptimize(evals.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(points.size() * draws.size()));
-}
-BENCHMARK(BM_EvaluateAllScalar);
-
 // ---- Columnar PointStore (bench_pointstore group) --------------------------
 //
 // BM_StoreEvaluateAll is the store-native protocol hot path: the double
 // plane is built once per store, so a warm fill does zero per-point work
 // beyond the kernels themselves. Compare against BM_EvaluateAll (the
-// PointSet adapter, which copies into a temporary arena per call) and the
-// preserved BM_EvaluateAllScalar.
+// PointSet adapter, which copies into a temporary arena per call).
 
 void BM_PointStoreAppend(benchmark::State& state) {
   // Per-point append rate into a reserved arena (the generator hot path).

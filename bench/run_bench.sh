@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Runs the google-benchmark microbenchmark suite (bench_micro) in JSON mode
-# and writes BENCH_micro.json at the repo root: the perf trajectory record
-# that future PRs compare against (see bench/baselines/ for pre-refactor
-# snapshots, e.g. BENCH_micro_pre_sync_server.json from before the
-# maintained-sketch serving path landed).
+# and writes BENCH_micro.json at the repo root. Its numbers are per-operation
+# detail for one host only: the committed BENCH_micro.json and the snapshots
+# in bench/baselines/ were recorded on a 1-vCPU host and are not comparable
+# with runs on any other (perfbench/README.md, "Not comparable"). A
+# performance claim compares same-host parent/change pairs of
+# `python3 perfbench/run.py`; to compare microbenchmarks, run this script on
+# both commits on one host and compare those two outputs.
 #
 # bench_micro now includes the maintained-sketch group (BM_SyncDatasetInsert,
 # BM_SessionSyncWarm, BM_SessionSyncRebuild); the standalone bench_server
@@ -14,10 +17,8 @@
 #   bench/run_bench.sh [output.json]
 # Environment:
 #   BUILD_DIR   build directory (default: build)
-#   FILTER      --benchmark_filter regex (default: all benchmarks). The
-#               bench_lsh group (BM_GridEvalBatch, BM_PairwisePrefixes*,
-#               BM_EvaluateAll*) compares the batch LSH pipeline against the
-#               preserved scalar baselines: FILTER='EvaluateAll|Prefixes'.
+#   FILTER      --benchmark_filter regex (default: all benchmarks), e.g.
+#               FILTER='EvaluateAll|Prefixes' for the bench_lsh group.
 #   MIN_TIME    --benchmark_min_time per benchmark, seconds (default: 0.2)
 #   REPS        --benchmark_repetitions; > 1 also reports mean/median/min
 #               aggregates (default: 1). Use >= 5 on machines with frequency

@@ -117,11 +117,18 @@ Result<GapPipelineResult> RunGapPipeline(
   result.comm.Append(transcript.stats());
 
   // Bob: S'_B = S_B ∪ T_A (parsed from the wire).
+  // Rows are read at Alice's dimension, and the wire count is bounded by the
+  // bytes present (PointStore::ReadFrom). A nonzero count implies Alice has
+  // points, hence a dimension.
   ByteReader reader(message.buffer());
-  uint64_t count = reader.GetVarint64();
+  const uint64_t count = reader.GetVarint64();
   result.s_b_prime = bob.ToPointSet();
-  for (uint64_t i = 0; i < count; ++i) {
-    result.s_b_prime.push_back(Point::ReadFrom(&reader));
+  if (count > 0) {
+    const PointStore received =
+        PointStore::ReadFrom(&reader, alice.dim(), static_cast<size_t>(count));
+    for (size_t i = 0; i < received.size(); ++i) {
+      result.s_b_prime.push_back(received.MakePoint(i));
+    }
   }
   RSR_RETURN_NOT_OK(reader.FinishAndCheckConsumed());
   return result;

@@ -197,6 +197,13 @@ void PointStore::WriteTo(ByteWriter* w) const {
 
 PointStore PointStore::ReadFrom(ByteReader* r, size_t dim, size_t count) {
   PointStore store(dim);
+  // Every row costs at least dim + 1 bytes (a varint dim plus one varint per
+  // coordinate), so a count the remaining bytes cannot hold is corrupt; it
+  // is rejected before it can size the reservation.
+  if (count > r->remaining() / (dim + 1)) {
+    r->Invalidate();
+    return store;
+  }
   store.Reserve(count);
   for (size_t i = 0; i < count; ++i) {
     uint64_t wire_dim = r->GetVarint64();

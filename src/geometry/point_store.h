@@ -9,7 +9,7 @@
 //
 //   coords : one contiguous Coord buffer, row-major (size() x dim())
 //   doubles: the same rows pre-converted to double, built lazily and cached
-//            (the exact matrix EvalFlatBatch consumes). The cache tracks a
+//            (the eval pipeline transposes its blocks). The cache tracks a
 //            clean-row watermark, so appends do NOT discard it: the next
 //            DoublePlane() call converts only the appended tail (the
 //            incremental-dataset fast path). Only mutations that rewrite
@@ -170,7 +170,7 @@ class PointStore {
   void RemoveRowSwap(size_t i);
 
   /// Row-major size() x dim() matrix of the coordinates converted to double
-  /// (the layout LshFunction::EvalFlatBatch consumes). Built lazily on first
+  /// (the eval pipeline transposes it block by block). Built lazily on first
   /// use and cached until the store mutates. NOT thread-safe on the building
   /// call: pipelines must touch it once before fanning out workers
   /// (EvaluateAllInto does).
@@ -217,8 +217,10 @@ class PointStore {
   /// Serialization. WritePointTo emits row i exactly like Point::WriteTo;
   /// WriteTo emits all rows back to back (callers prepend their own count,
   /// as they did with per-Point loops). ReadFrom consumes `count` points
-  /// written in that format; dimension mismatches or corrupt bytes poison
-  /// the reader (checked by the caller's FinishAndCheckConsumed/status).
+  /// written in that format; dimension mismatches, corrupt bytes or a count
+  /// the remaining bytes cannot hold poison the reader (checked by the
+  /// caller's FinishAndCheckConsumed/status), and the reservation is bounded
+  /// by the bytes present, never by the count alone.
   void WritePointTo(ByteWriter* w, size_t i) const;
   void WriteTo(ByteWriter* w) const;
   static PointStore ReadFrom(ByteReader* r, size_t dim, size_t count);

@@ -1,10 +1,10 @@
-// Runtime dispatch for the contiguous-row batch kernels.
+// Runtime dispatch for the column-major batch kernels.
 //
 // A single function-pointer table is resolved once per process (thread-safe
 // static initialization) from three inputs — were the AVX2 sources compiled
 // with AVX2 codegen, does CPUID report AVX2, is RSR_FORCE_SCALAR unset — so
 // one binary runs everywhere and the hot loops pay one indirect call per
-// (function, block), which the surrounding virtual EvalFlatBatch call
+// (function, block), which the surrounding virtual EvalColsBatch call
 // already dwarfs.
 #include "lsh/batch_kernels.h"
 
@@ -15,34 +15,6 @@ namespace rsr {
 namespace lsh_internal {
 
 namespace {
-
-void GridHashFlatScalar(const double* coords, size_t n, size_t dim,
-                        const double* offsets, double w, uint64_t salt,
-                        uint64_t* out, size_t out_stride) {
-  GridHashBatch([coords, dim](size_t i) { return coords + i * dim; }, n,
-                offsets, dim, w, salt, out, out_stride);
-}
-
-void GridHashCoordScalar(const Coord* coords, size_t n, size_t dim,
-                         const double* offsets, double w, uint64_t salt,
-                         uint64_t* out, size_t out_stride) {
-  GridHashBatch([coords, dim](size_t i) { return coords + i * dim; }, n,
-                offsets, dim, w, salt, out, out_stride);
-}
-
-void DotCellFlatScalar(const double* coords, size_t n, size_t dim,
-                       const double* direction, double offset, double w,
-                       uint64_t* out, size_t out_stride) {
-  DotCellBatch([coords, dim](size_t i) { return coords + i * dim; }, n,
-               direction, dim, offset, w, out, out_stride);
-}
-
-void DotCellCoordScalar(const Coord* coords, size_t n, size_t dim,
-                        const double* direction, double offset, double w,
-                        uint64_t* out, size_t out_stride) {
-  DotCellBatch([coords, dim](size_t i) { return coords + i * dim; }, n,
-               direction, dim, offset, w, out, out_stride);
-}
 
 void GridHashColsScalar(const double* cols, size_t col_stride, size_t n,
                         size_t dim, const double* offsets, double w,
@@ -61,10 +33,6 @@ void DotCellColsScalar(const double* cols, size_t col_stride, size_t n,
 }
 
 struct KernelTable {
-  decltype(&GridHashFlatScalar) grid_flat;
-  decltype(&GridHashCoordScalar) grid_coord;
-  decltype(&DotCellFlatScalar) dot_flat;
-  decltype(&DotCellCoordScalar) dot_coord;
   decltype(&GridHashColsScalar) grid_cols;
   decltype(&DotCellColsScalar) dot_cols;
   const char* name;
@@ -73,45 +41,14 @@ struct KernelTable {
 const KernelTable& ActiveKernels() {
   static const KernelTable table = [] {
     if (kAvx2KernelsCompiled && CpuSupportsAvx2() && !ForceScalarKernels()) {
-      return KernelTable{GridHashFlatAvx2,  GridHashCoordAvx2, DotCellFlatAvx2,
-                         DotCellCoordAvx2,  GridHashColsAvx2,  DotCellColsAvx2,
-                         "avx2"};
+      return KernelTable{GridHashColsAvx2, DotCellColsAvx2, "avx2"};
     }
-    return KernelTable{GridHashFlatScalar,  GridHashCoordScalar,
-                       DotCellFlatScalar,   DotCellCoordScalar,
-                       GridHashColsScalar,  DotCellColsScalar,
-                       "scalar"};
+    return KernelTable{GridHashColsScalar, DotCellColsScalar, "scalar"};
   }();
   return table;
 }
 
 }  // namespace
-
-void GridHashFlat(const double* coords, size_t n, size_t dim,
-                  const double* offsets, double w, uint64_t salt, uint64_t* out,
-                  size_t out_stride) {
-  ActiveKernels().grid_flat(coords, n, dim, offsets, w, salt, out, out_stride);
-}
-
-void GridHashCoord(const Coord* coords, size_t n, size_t dim,
-                   const double* offsets, double w, uint64_t salt,
-                   uint64_t* out, size_t out_stride) {
-  ActiveKernels().grid_coord(coords, n, dim, offsets, w, salt, out, out_stride);
-}
-
-void DotCellFlat(const double* coords, size_t n, size_t dim,
-                 const double* direction, double offset, double w,
-                 uint64_t* out, size_t out_stride) {
-  ActiveKernels().dot_flat(coords, n, dim, direction, offset, w, out,
-                           out_stride);
-}
-
-void DotCellCoord(const Coord* coords, size_t n, size_t dim,
-                  const double* direction, double offset, double w,
-                  uint64_t* out, size_t out_stride) {
-  ActiveKernels().dot_coord(coords, n, dim, direction, offset, w, out,
-                            out_stride);
-}
 
 void GridHashCols(const double* cols, size_t col_stride, size_t n, size_t dim,
                   const double* offsets, double w, uint64_t salt, uint64_t* out,

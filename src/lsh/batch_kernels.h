@@ -1,18 +1,16 @@
-// Shared interleaved inner loops for the drawn-function batch paths.
+// Interleaved inner loops for the flat families' batch path.
 //
-// Each kernel is templated on a row accessor (size_t i -> pointer whose
-// elements convert to double), so one body serves both the Point path
-// (const Coord* rows from scattered heap vectors) and the flat path
-// (contiguous pre-converted double rows). Points run 4- or 8-way
-// interleaved: each point's serial dependency chain (HashCombine chain,
-// dot-product accumulation) keeps its exact scalar operation order — so
-// results are bit-identical to Eval — but independent points overlap in the
-// pipeline instead of stalling on multiply/FMA latency.
+// Each kernel is templated on a row accessor (size_t i -> object whose
+// operator[](j) converts to double), so one body serves any point layout;
+// the pipeline's layout is column-major (ColRowView below). Points run 4- or
+// 8-way interleaved: each point's serial dependency chain (HashCombine
+// chain, dot-product accumulation) keeps its exact scalar operation order —
+// so results are bit-identical to Eval — but independent points overlap in
+// the pipeline instead of stalling on multiply/add latency.
 //
 // The templates are the PORTABLE REFERENCE (and the vector kernels' tail
-// path). Contiguous-row callers — the store-native EvalFlatBatch /
-// EvalCoordBatch hot paths — go through the dispatched entry points at the
-// bottom of this header instead, which select AVX2 implementations
+// path). Callers go through the two dispatched entry points at the bottom
+// of this header, which select the AVX2 implementations
 // (batch_kernels_avx2.cc) at runtime when the host supports them
 // (util/cpu_features.h). Both arms are bit-identical for every input; the
 // lsh/README.md SIMD section documents why.
@@ -20,9 +18,9 @@
 #define RSR_LSH_BATCH_KERNELS_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
-#include "geometry/point.h"
 #include "hashing/hash64.h"
 
 namespace rsr {
@@ -120,44 +118,25 @@ inline void DotCellBatch(RowFn row, size_t n, const double* direction,
 
 /// Column accessor adapter: presents column-major storage
 /// (cols[j * col_stride + i] == point i's coordinate j) to the row-templated
-/// kernels above, making the scalar column reference literally the same
-/// interleaved code as the row reference.
+/// kernels above, so the scalar column kernels are literally the interleaved
+/// reference code.
 struct ColRowView {
   const double* base;   // cols + i (point i's first coordinate)
   size_t stride;        // col_stride (elements between coordinates)
   double operator[](size_t j) const { return base[j * stride]; }
 };
 
-// ---- Dispatched contiguous-row entry points ---------------------------------
-//
-// Row i is coords + i * dim (one PointStore arena row or one double-plane
-// row). Each call forwards through a function pointer resolved once per
-// process: AVX2 when compiled in, supported by the CPU, and not overridden
-// via RSR_FORCE_SCALAR; the scalar templates above otherwise.
-
-void GridHashFlat(const double* coords, size_t n, size_t dim,
-                  const double* offsets, double w, uint64_t salt, uint64_t* out,
-                  size_t out_stride);
-void GridHashCoord(const Coord* coords, size_t n, size_t dim,
-                   const double* offsets, double w, uint64_t salt,
-                   uint64_t* out, size_t out_stride);
-void DotCellFlat(const double* coords, size_t n, size_t dim,
-                 const double* direction, double offset, double w,
-                 uint64_t* out, size_t out_stride);
-void DotCellCoord(const Coord* coords, size_t n, size_t dim,
-                  const double* direction, double offset, double w,
-                  uint64_t* out, size_t out_stride);
-
 // ---- Dispatched column-major entry points -----------------------------------
 //
 // Input is column-major: cols[j * col_stride + i] is point i's coordinate j
 // (the eval pipeline transposes each point block once, amortized over all s
-// drawn functions). This is the layout the vector units actually want — a
-// lane load of 4 consecutive points' coordinate j is one contiguous load,
-// with no per-iteration shuffles and no strided gathers — so these are the
-// fastest kernels and the pipeline's first choice. Results are bit-identical
-// to the row kernels and to Eval: same values, same per-point operation
-// order, only the storage layout differs.
+// drawn functions). This is the layout the vector units want — a lane load
+// of 4 consecutive points' coordinate j is one contiguous load, with no
+// shuffles and no gathers. Each call forwards through a function pointer
+// resolved once per process: AVX2 when compiled in, supported by the CPU,
+// and not overridden via RSR_FORCE_SCALAR; the scalar templates above
+// otherwise. Results are bit-identical to Eval: same values, same per-point
+// operation order, only the storage layout differs.
 
 void GridHashCols(const double* cols, size_t col_stride, size_t n, size_t dim,
                   const double* offsets, double w, uint64_t salt, uint64_t* out,

@@ -1,4 +1,4 @@
-// AVX2 implementations of the contiguous-row batch kernels.
+// AVX2 implementations of the column-major batch kernels.
 //
 // Compiled with -mavx2 -ffp-contract=off (see CMakeLists.txt). Bit-exactness
 // strategy: one 64-bit lane == one point, and every lane performs the scalar
@@ -12,19 +12,14 @@
 //            cell = (int64)floor(dot / w).
 //
 // vdivpd / vaddpd / vmulpd / vroundpd are IEEE-754 operations identical to
-// their scalar counterparts, int64 -> double conversion is the same single
-// well-defined rounding in either path, and double -> int64 goes through
-// per-lane cvttsd2si exactly like the scalar casts. The only reordering is
-// ACROSS points, which share no state.
+// their scalar counterparts, and double -> int64 goes through per-lane
+// cvttsd2si exactly like the scalar casts. The only reordering is ACROSS
+// points, which share no state.
 //
-// Memory layout: the input is row-major (point-major), but each vector wants
-// one COLUMN (coordinate j of 4 points). The double-plane kernels therefore
-// load 4x4 row tiles with plain contiguous loads and transpose them in
-// registers (2 unpacks + 2 permutes per column group) instead of gathering
-// lane by lane — the gather version spends more uops assembling vectors
-// than computing. The Coord (int64) path has no packed int64->double
-// conversion in AVX2, so it converts lane-by-lane; its win is the vector
-// divide and hash chain.
+// Memory layout: cols[j * col_stride + i], so 4 consecutive points'
+// coordinate j is one contiguous load — no transpose shuffles, no gathers.
+// The eval pipeline transposes each point block once and amortizes it over
+// all s drawn functions, so these run at pure arithmetic throughput.
 #include "lsh/batch_kernels_avx2.h"
 
 #include "lsh/batch_kernels.h"
@@ -32,8 +27,6 @@
 #if defined(__AVX2__)
 
 #include <immintrin.h>
-
-#include <type_traits>
 
 #include "hashing/hash64_avx2.h"
 
@@ -43,35 +36,6 @@ namespace lsh_internal {
 const bool kAvx2KernelsCompiled = true;
 
 namespace {
-
-/// Lane i = row ri's column j, converting Coord lanes like the scalar
-/// static_cast<double>. Tail-column loader for both kernels and the only
-/// loader for the Coord path.
-template <typename T>
-inline __m256d LoadColumn4(const T* r0, const T* r1, const T* r2, const T* r3,
-                           size_t j) {
-  return _mm256_set_pd(
-      static_cast<double>(r3[j]), static_cast<double>(r2[j]),
-      static_cast<double>(r1[j]), static_cast<double>(r0[j]));
-}
-
-/// Transposes the 4x4 tile rows {r0,r1,r2,r3}[j..j+3] into four column
-/// vectors col[c] = {r0[j+c], r1[j+c], r2[j+c], r3[j+c]}.
-inline void LoadTile4x4(const double* r0, const double* r1, const double* r2,
-                        const double* r3, size_t j, __m256d col[4]) {
-  __m256d a = _mm256_loadu_pd(r0 + j);
-  __m256d b = _mm256_loadu_pd(r1 + j);
-  __m256d c = _mm256_loadu_pd(r2 + j);
-  __m256d d = _mm256_loadu_pd(r3 + j);
-  __m256d ab_lo = _mm256_unpacklo_pd(a, b);  // r0[j]   r1[j]   r0[j+2] r1[j+2]
-  __m256d ab_hi = _mm256_unpackhi_pd(a, b);  // r0[j+1] r1[j+1] r0[j+3] r1[j+3]
-  __m256d cd_lo = _mm256_unpacklo_pd(c, d);
-  __m256d cd_hi = _mm256_unpackhi_pd(c, d);
-  col[0] = _mm256_permute2f128_pd(ab_lo, cd_lo, 0x20);
-  col[1] = _mm256_permute2f128_pd(ab_hi, cd_hi, 0x20);
-  col[2] = _mm256_permute2f128_pd(ab_lo, cd_lo, 0x31);
-  col[3] = _mm256_permute2f128_pd(ab_hi, cd_hi, 0x31);
-}
 
 /// Lane-wise (int64)value for already-floored doubles; per-lane cvttsd2si,
 /// the same instruction the scalar casts compile to (AVX2 has no packed
@@ -93,170 +57,11 @@ inline void Store4(uint64_t* out, size_t out_stride, __m256i v) {
   out[3 * out_stride] = lanes[3];
 }
 
-// ---- Grid kernel ------------------------------------------------------------
+}  // namespace
 
-/// One vector of 4 points: the full HashCombine chain over all dim columns,
-/// in scalar column order. Columns come from transposed 4x4 tiles on the
-/// double plane (Flat) or lane-converted loads on the Coord arena.
-inline __m256i GridChainFlat(const double* r0, const double* r1,
-                             const double* r2, const double* r3, size_t dim,
-                             const double* offsets, __m256d vw, uint64_t salt) {
-  __m256i h = _mm256_set1_epi64x(static_cast<int64_t>(salt));
-  __m256d col[4];
-  size_t j = 0;
-  for (; j + 4 <= dim; j += 4) {
-    LoadTile4x4(r0, r1, r2, r3, j, col);
-    for (size_t c = 0; c < 4; ++c) {
-      __m256d shifted = _mm256_add_pd(col[c], _mm256_set1_pd(offsets[j + c]));
-      __m256d cell = _mm256_floor_pd(_mm256_div_pd(shifted, vw));
-      h = hash_avx2::HashCombine4(h, TruncToI64(cell));
-    }
-  }
-  for (; j < dim; ++j) {
-    __m256d shifted = _mm256_add_pd(LoadColumn4(r0, r1, r2, r3, j),
-                                    _mm256_set1_pd(offsets[j]));
-    __m256d cell = _mm256_floor_pd(_mm256_div_pd(shifted, vw));
-    h = hash_avx2::HashCombine4(h, TruncToI64(cell));
-  }
-  return h;
-}
-
-inline __m256i GridChainCoord(const Coord* r0, const Coord* r1, const Coord* r2,
-                              const Coord* r3, size_t dim,
-                              const double* offsets, __m256d vw,
-                              uint64_t salt) {
-  __m256i h = _mm256_set1_epi64x(static_cast<int64_t>(salt));
-  for (size_t j = 0; j < dim; ++j) {
-    __m256d shifted = _mm256_add_pd(LoadColumn4(r0, r1, r2, r3, j),
-                                    _mm256_set1_pd(offsets[j]));
-    __m256d cell = _mm256_floor_pd(_mm256_div_pd(shifted, vw));
-    h = hash_avx2::HashCombine4(h, TruncToI64(cell));
-  }
-  return h;
-}
-
-template <typename T, typename ChainFn>
-void GridHashAvx2Impl(const T* coords, size_t n, size_t dim,
-                      const double* offsets, double w, uint64_t salt,
-                      uint64_t* out, size_t out_stride, ChainFn chain) {
-  const __m256d vw = _mm256_set1_pd(w);
-  size_t i = 0;
-  // 8 points = two independent 4-lane hash chains, so the serial Mix64
-  // latency of one chain overlaps the other's divides.
-  for (; i + 8 <= n; i += 8) {
-    const T* base = coords + i * dim;
-    __m256i h0 = chain(base + 0 * dim, base + 1 * dim, base + 2 * dim,
-                       base + 3 * dim, dim, offsets, vw, salt);
-    __m256i h1 = chain(base + 4 * dim, base + 5 * dim, base + 6 * dim,
-                       base + 7 * dim, dim, offsets, vw, salt);
-    Store4(out + i * out_stride, out_stride, h0);
-    Store4(out + (i + 4) * out_stride, out_stride, h1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const T* base = coords + i * dim;
-    Store4(out + i * out_stride, out_stride,
-           chain(base + 0 * dim, base + 1 * dim, base + 2 * dim, base + 3 * dim,
-                 dim, offsets, vw, salt));
-  }
-  if (i < n) {
-    // Scalar reference tail: per-point results do not depend on the unroll.
-    GridHashBatch([coords, dim, i](size_t t) { return coords + (i + t) * dim; },
-                  n - i, offsets, dim, w, salt, out + i * out_stride,
-                  out_stride);
-  }
-}
-
-// ---- 2-stable kernel --------------------------------------------------------
-
-template <typename T>
-void DotCellAvx2Impl(const T* coords, size_t n, size_t dim,
-                     const double* direction, double offset, double w,
-                     uint64_t* out, size_t out_stride) {
-  const __m256d vw = _mm256_set1_pd(w);
-  const __m256d voffset = _mm256_set1_pd(offset);
-  size_t i = 0;
-  // 16 points = four independent accumulator chains: vaddpd latency is ~4
-  // cycles and each lane's adds are serial (scalar order), so fewer chains
-  // leave the FP units idle.
-  for (; i + 16 <= n; i += 16) {
-    const T* base = coords + i * dim;
-    __m256d acc[4] = {voffset, voffset, voffset, voffset};
-    if constexpr (std::is_same_v<T, double>) {
-      // Double plane: transposed 4x4 tiles, contiguous loads.
-      __m256d col[4][4];
-      size_t j = 0;
-      for (; j + 4 <= dim; j += 4) {
-        for (size_t chain = 0; chain < 4; ++chain) {
-          const double* r = base + chain * 4 * dim;
-          LoadTile4x4(r, r + dim, r + 2 * dim, r + 3 * dim, j, col[chain]);
-        }
-        for (size_t c = 0; c < 4; ++c) {
-          const __m256d dir = _mm256_set1_pd(direction[j + c]);
-          for (size_t chain = 0; chain < 4; ++chain) {
-            acc[chain] =
-                _mm256_add_pd(acc[chain], _mm256_mul_pd(dir, col[chain][c]));
-          }
-        }
-      }
-      for (; j < dim; ++j) {
-        const __m256d dir = _mm256_set1_pd(direction[j]);
-        for (size_t chain = 0; chain < 4; ++chain) {
-          const T* r = base + chain * 4 * dim;
-          acc[chain] = _mm256_add_pd(
-              acc[chain],
-              _mm256_mul_pd(dir, LoadColumn4(r, r + dim, r + 2 * dim,
-                                             r + 3 * dim, j)));
-        }
-      }
-    } else {
-      // Coord arena: lane-converted column loads (no packed int64 -> double
-      // in AVX2).
-      for (size_t j = 0; j < dim; ++j) {
-        const __m256d dir = _mm256_set1_pd(direction[j]);
-        for (size_t chain = 0; chain < 4; ++chain) {
-          const T* r = base + chain * 4 * dim;
-          acc[chain] = _mm256_add_pd(
-              acc[chain],
-              _mm256_mul_pd(dir, LoadColumn4(r, r + dim, r + 2 * dim,
-                                             r + 3 * dim, j)));
-        }
-      }
-    }
-    for (size_t chain = 0; chain < 4; ++chain) {
-      Store4(out + (i + chain * 4) * out_stride, out_stride,
-             TruncToI64(_mm256_floor_pd(_mm256_div_pd(acc[chain], vw))));
-    }
-  }
-  for (; i + 4 <= n; i += 4) {
-    const T* r0 = coords + (i + 0) * dim;
-    const T* r1 = coords + (i + 1) * dim;
-    const T* r2 = coords + (i + 2) * dim;
-    const T* r3 = coords + (i + 3) * dim;
-    __m256d acc = voffset;
-    for (size_t j = 0; j < dim; ++j) {
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(direction[j]),
-                                             LoadColumn4(r0, r1, r2, r3, j)));
-    }
-    Store4(out + i * out_stride, out_stride,
-           TruncToI64(_mm256_floor_pd(_mm256_div_pd(acc, vw))));
-  }
-  if (i < n) {
-    DotCellBatch([coords, dim, i](size_t t) { return coords + (i + t) * dim; },
-                 n - i, direction, dim, offset, w, out + i * out_stride,
-                 out_stride);
-  }
-}
-
-// ---- Column-major kernels ---------------------------------------------------
-//
-// cols[j * col_stride + i]: 4 consecutive points' coordinate j is one
-// contiguous load — no transpose shuffles, no gathers. The eval pipeline
-// transposes each point block once and amortizes it over all s drawn
-// functions, so these run at pure arithmetic throughput.
-
-void GridHashColsAvx2Impl(const double* cols, size_t col_stride, size_t n,
-                          size_t dim, const double* offsets, double w,
-                          uint64_t salt, uint64_t* out, size_t out_stride) {
+void GridHashColsAvx2(const double* cols, size_t col_stride, size_t n,
+                      size_t dim, const double* offsets, double w,
+                      uint64_t salt, uint64_t* out, size_t out_stride) {
   const __m256d vw = _mm256_set1_pd(w);
   const __m256i vsalt = _mm256_set1_epi64x(static_cast<int64_t>(salt));
   size_t i = 0;
@@ -299,9 +104,9 @@ void GridHashColsAvx2Impl(const double* cols, size_t col_stride, size_t n,
   }
 }
 
-void DotCellColsAvx2Impl(const double* cols, size_t col_stride, size_t n,
-                         size_t dim, const double* direction, double offset,
-                         double w, uint64_t* out, size_t out_stride) {
+void DotCellColsAvx2(const double* cols, size_t col_stride, size_t n,
+                     size_t dim, const double* direction, double offset,
+                     double w, uint64_t* out, size_t out_stride) {
   const __m256d vw = _mm256_set1_pd(w);
   const __m256d voffset = _mm256_set1_pd(offset);
   size_t i = 0;
@@ -353,56 +158,6 @@ void DotCellColsAvx2Impl(const double* cols, size_t col_stride, size_t n,
   }
 }
 
-}  // namespace
-
-void GridHashFlatAvx2(const double* coords, size_t n, size_t dim,
-                      const double* offsets, double w, uint64_t salt,
-                      uint64_t* out, size_t out_stride) {
-  GridHashAvx2Impl(coords, n, dim, offsets, w, salt, out, out_stride,
-                   [](const double* r0, const double* r1, const double* r2,
-                      const double* r3, size_t d, const double* off, __m256d vw,
-                      uint64_t s) {
-                     return GridChainFlat(r0, r1, r2, r3, d, off, vw, s);
-                   });
-}
-
-void GridHashCoordAvx2(const Coord* coords, size_t n, size_t dim,
-                       const double* offsets, double w, uint64_t salt,
-                       uint64_t* out, size_t out_stride) {
-  GridHashAvx2Impl(coords, n, dim, offsets, w, salt, out, out_stride,
-                   [](const Coord* r0, const Coord* r1, const Coord* r2,
-                      const Coord* r3, size_t d, const double* off, __m256d vw,
-                      uint64_t s) {
-                     return GridChainCoord(r0, r1, r2, r3, d, off, vw, s);
-                   });
-}
-
-void DotCellFlatAvx2(const double* coords, size_t n, size_t dim,
-                     const double* direction, double offset, double w,
-                     uint64_t* out, size_t out_stride) {
-  DotCellAvx2Impl(coords, n, dim, direction, offset, w, out, out_stride);
-}
-
-void DotCellCoordAvx2(const Coord* coords, size_t n, size_t dim,
-                      const double* direction, double offset, double w,
-                      uint64_t* out, size_t out_stride) {
-  DotCellAvx2Impl(coords, n, dim, direction, offset, w, out, out_stride);
-}
-
-void GridHashColsAvx2(const double* cols, size_t col_stride, size_t n,
-                      size_t dim, const double* offsets, double w,
-                      uint64_t salt, uint64_t* out, size_t out_stride) {
-  GridHashColsAvx2Impl(cols, col_stride, n, dim, offsets, w, salt, out,
-                       out_stride);
-}
-
-void DotCellColsAvx2(const double* cols, size_t col_stride, size_t n,
-                     size_t dim, const double* direction, double offset,
-                     double w, uint64_t* out, size_t out_stride) {
-  DotCellColsAvx2Impl(cols, col_stride, n, dim, direction, offset, w, out,
-                      out_stride);
-}
-
 }  // namespace lsh_internal
 }  // namespace rsr
 
@@ -416,34 +171,6 @@ namespace rsr {
 namespace lsh_internal {
 
 const bool kAvx2KernelsCompiled = false;
-
-void GridHashFlatAvx2(const double* coords, size_t n, size_t dim,
-                      const double* offsets, double w, uint64_t salt,
-                      uint64_t* out, size_t out_stride) {
-  GridHashBatch([coords, dim](size_t i) { return coords + i * dim; }, n,
-                offsets, dim, w, salt, out, out_stride);
-}
-
-void GridHashCoordAvx2(const Coord* coords, size_t n, size_t dim,
-                       const double* offsets, double w, uint64_t salt,
-                       uint64_t* out, size_t out_stride) {
-  GridHashBatch([coords, dim](size_t i) { return coords + i * dim; }, n,
-                offsets, dim, w, salt, out, out_stride);
-}
-
-void DotCellFlatAvx2(const double* coords, size_t n, size_t dim,
-                     const double* direction, double offset, double w,
-                     uint64_t* out, size_t out_stride) {
-  DotCellBatch([coords, dim](size_t i) { return coords + i * dim; }, n,
-               direction, dim, offset, w, out, out_stride);
-}
-
-void DotCellCoordAvx2(const Coord* coords, size_t n, size_t dim,
-                      const double* direction, double offset, double w,
-                      uint64_t* out, size_t out_stride) {
-  DotCellBatch([coords, dim](size_t i) { return coords + i * dim; }, n,
-               direction, dim, offset, w, out, out_stride);
-}
 
 void GridHashColsAvx2(const double* cols, size_t col_stride, size_t n,
                       size_t dim, const double* offsets, double w,

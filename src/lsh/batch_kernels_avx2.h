@@ -1,11 +1,12 @@
-// AVX2 entry points for the contiguous-row batch kernels.
+// AVX2 entry points for the column-major batch kernels.
 //
 // These are the vector twins of the scalar templates in batch_kernels.h,
-// specialized to the two row layouts the store-native pipeline actually
-// feeds: the cached double plane (Flat) and the raw Coord arena (Coord).
-// Callers never invoke them directly — batch_kernels.cc selects them at
-// runtime (util/cpu_features.h) — except the bit-identity tests, which pin
-// scalar == AVX2 on every family regardless of the dispatch decision.
+// specialized to the column-major layout the eval pipeline feeds
+// (cols[j * col_stride + i]), where a 4-point lane load is one contiguous
+// vmovupd with no shuffles. Callers never invoke them directly —
+// batch_kernels.cc selects them at runtime (util/cpu_features.h) — except
+// the bit-identity tests, which pin scalar == AVX2 regardless of the
+// dispatch decision.
 //
 // The definitions live in batch_kernels_avx2.cc, the one translation unit
 // CMake compiles with -mavx2 (and -ffp-contract=off, so no multiply-add is
@@ -19,8 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "geometry/point.h"
-
 namespace rsr {
 namespace lsh_internal {
 
@@ -28,22 +27,6 @@ namespace lsh_internal {
 /// enabled (the dispatcher requires this on top of the CPUID probe).
 extern const bool kAvx2KernelsCompiled;
 
-void GridHashFlatAvx2(const double* coords, size_t n, size_t dim,
-                      const double* offsets, double w, uint64_t salt,
-                      uint64_t* out, size_t out_stride);
-void GridHashCoordAvx2(const Coord* coords, size_t n, size_t dim,
-                       const double* offsets, double w, uint64_t salt,
-                       uint64_t* out, size_t out_stride);
-void DotCellFlatAvx2(const double* coords, size_t n, size_t dim,
-                     const double* direction, double offset, double w,
-                     uint64_t* out, size_t out_stride);
-void DotCellCoordAvx2(const Coord* coords, size_t n, size_t dim,
-                      const double* direction, double offset, double w,
-                      uint64_t* out, size_t out_stride);
-
-/// Column-major (cols[j * col_stride + i]) variants: the layout the eval
-/// pipeline pre-transposes each point block into, where a 4-point lane load
-/// is one contiguous vmovupd with no shuffles. Fastest kernels in the table.
 void GridHashColsAvx2(const double* cols, size_t col_stride, size_t n,
                       size_t dim, const double* offsets, double w,
                       uint64_t salt, uint64_t* out, size_t out_stride);

@@ -18,20 +18,6 @@ class BitSamplingFunction : public LshFunction {
     return static_cast<uint64_t>(x[static_cast<size_t>(index_)]);
   }
 
-  // The index (or the constant-0 branch) is resolved once per batch instead
-  // of per point.
-  void EvalBatch(const Point* points, size_t n, uint64_t* out,
-                 size_t out_stride) const override {
-    if (index_ < 0) {
-      for (size_t i = 0; i < n; ++i) out[i * out_stride] = 0;
-      return;
-    }
-    const size_t index = static_cast<size_t>(index_);
-    for (size_t i = 0; i < n; ++i) {
-      out[i * out_stride] = static_cast<uint64_t>(points[i][index]);
-    }
-  }
-
   // Arena path: a strided gather straight out of the PointStore rows. Bit
   // sampling consumes raw integer coordinates, so this (not the double
   // plane) is its store-native batch. The coordinate-index offset is folded

@@ -17,11 +17,11 @@ void EvaluateRowsInto(
   if (n == 0 || s == 0) return;
   uint64_t* data = out->mutable_data();
   const size_t dim = points.dim();
-  // All draws come from one family, so one representative decides the path.
-  // Flat families read the store's cached double plane (no per-run flatten
-  // copy — the store converts coordinates once, the first time any pipeline
-  // asks); integer-coordinate families stream the arena directly. Both are
-  // touched here, before the fan-out, so workers only ever read.
+  // All draws come from one family, so one representative picks the layout.
+  // Flat families read column blocks transposed from the store's cached
+  // double plane (the store converts coordinates once, the first time any
+  // pipeline asks); integer-coordinate families stream the arena directly.
+  // Both are touched here, before the fan-out, so workers only ever read.
   const bool flat = functions[0]->SupportsFlatBatch();
   // Base pointers are offset to row_begin so the block loop below can index
   // rows [0, row_count) uniformly. DoublePlane() converts at most the dirty
@@ -33,44 +33,43 @@ void EvaluateRowsInto(
   // Block the point range so one block's matrix slice (block * s * 8 bytes)
   // stays L1-resident across all s strided column writes; without blocking
   // every write of a function pass lands on a distinct line of the full
-  // n x s buffer. The column path re-touches its slice with SIMD-rate
-  // stores, so it wants the slice well inside L1 (16 KiB); the coord path's
-  // scalar kernels tolerate a larger footprint and prefer fewer virtual
+  // n x s buffer. The column kernels re-touch their slice with SIMD-rate
+  // stores, so they want the slice well inside L1 (16 KiB); the coord path's
+  // scalar gather tolerates a larger footprint and prefers fewer virtual
   // calls. The transpose scratch is a fixed stack buffer (this pipeline is
-  // allocation-free when warm — pinned by pointstore_test), which bounds
-  // block * dim; dims too large for it take the row-major flat path instead.
+  // allocation-free when warm — pinned by pointstore_test), so wide points
+  // shrink the block, down to one row.
   constexpr size_t kColsScratchDoubles = 4096;  // 32 KiB per worker
-  const bool cols_path = flat && dim > 0 && dim <= kColsScratchDoubles / 16;
-  size_t block = ((flat && cols_path) ? (size_t{1} << 11) : (size_t{1} << 13)) /
-                 (s > 0 ? s : 1);
+  size_t block = (flat ? (size_t{1} << 11) : (size_t{1} << 13)) / s;
   if (block < 16) block = 16;
-  if (cols_path && block * dim > kColsScratchDoubles) {
-    block = kColsScratchDoubles / dim;  // >= 16 by the cols_path bound
+  if (flat && block * dim > kColsScratchDoubles) {
+    block = std::max<size_t>(kColsScratchDoubles / dim, 1);
   }
   ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
-    // Column path: transpose each block of double-plane rows to column-major
-    // ONCE (cols[j * len + i]), amortized over all s function passes. The
-    // SIMD column kernels then load 4 consecutive points' coordinate j with
-    // one contiguous vector load — no per-pass gathers or shuffles.
-    alignas(32) double cols[kColsScratchDoubles];
+    alignas(32) double scratch[kColsScratchDoubles];
     for (size_t b = begin; b < end; b += block) {
       const size_t len = std::min(block, end - b);
-      if (cols_path) {
-        const double* rows = plane + b * dim;
-        for (size_t j = 0; j < dim; ++j) {
-          double* col = cols + j * len;
-          for (size_t i = 0; i < len; ++i) col[i] = rows[i * dim + j];
+      // Transpose each block of plane rows to column-major ONCE
+      // (cols[j * len + i]), amortized over all s function passes. A
+      // one-row block is already column-major (col_stride 1), so it is
+      // read in place; that is also what lets any dim fit the scratch.
+      const double* cols = nullptr;
+      if (flat) {
+        cols = plane + b * dim;
+        if (len > 1) {
+          for (size_t j = 0; j < dim; ++j) {
+            double* col = scratch + j * len;
+            for (size_t i = 0; i < len; ++i) col[i] = cols[i * dim + j];
+          }
+          cols = scratch;
         }
       }
       // Function-major within the block: one virtual call per function, with
       // its drawn parameters hoisted for the whole point range.
       for (size_t g = 0; g < s; ++g) {
-        if (cols_path) {
+        if (flat) {
           functions[g]->EvalColsBatch(cols, len, len, dim, data + b * s + g,
                                       s);
-        } else if (flat) {
-          functions[g]->EvalFlatBatch(plane + b * dim, len, dim,
-                                      data + b * s + g, s);
         } else {
           functions[g]->EvalCoordBatch(arena + b * dim, len, dim,
                                        data + b * s + g, s);

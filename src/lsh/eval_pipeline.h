@@ -3,9 +3,9 @@
 //
 // EvaluateAllInto replaces the historical per-point nested loop
 //   for point i: for draw g: evals[i][g] = functions[g]->Eval(points[i])
-// (n * s virtual calls, one heap row per point) with one EvalBatch virtual
-// call per (function, shard): the drawn parameters are loaded once per
-// function and streamed over the points, and all n * s results land in a
+// (n * s virtual calls, one heap row per point) with one batch virtual call
+// per (function, block): the drawn parameters are loaded once per function
+// and streamed over the points, and all n * s results land in a
 // single row-major uint64_t buffer. Results are bit-identical to the scalar
 // loop for every family, seed, and thread count (lsh_batch_test).
 #ifndef RSR_LSH_EVAL_PIPELINE_H_
@@ -60,10 +60,12 @@ class EvalMatrix {
 /// writes a disjoint strided column slice, so the matrix is bit-identical
 /// for every thread count.
 ///
-/// Store-native hot path: flat-capable families stream the store's cached
-/// double plane (built once per store, not per run), all others stream the
-/// raw coordinate arena via EvalCoordBatch. With a warm store and a sized
-/// matrix the whole fill performs zero per-point allocations.
+/// Store-native hot path: flat families read the store's cached double
+/// plane (built once per store, not per run), transposed block by block into
+/// column-major stack scratch, via EvalColsBatch; all others stream the raw
+/// coordinate arena via EvalCoordBatch. This is the one place that picks a
+/// family's layout. With a warm store and a sized matrix the whole fill
+/// performs zero allocations, at any dim.
 void EvaluateAllInto(const PointStore& points,
                      const std::vector<std::unique_ptr<LshFunction>>& functions,
                      size_t num_threads, EvalMatrix* out);

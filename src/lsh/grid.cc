@@ -25,41 +25,19 @@ class GridFunction : public LshFunction {
     return h;
   }
 
-  // Function-major hot paths: offsets/width/salt are loaded once for the
-  // whole point range, with interleaved HashCombine chains
+  // Function-major hot path: offsets/width/salt are loaded once for the
+  // whole point block, with interleaved HashCombine chains
   // (batch_kernels.h). The per-coordinate `/ w` division is kept (not
   // replaced by a reciprocal multiply) so cell indices round exactly like
-  // Eval's. The contiguous-row paths go through the runtime-dispatched
-  // kernels (AVX2 when the host supports it; bit-identical either way).
-  void EvalBatch(const Point* points, size_t n, uint64_t* out,
-                 size_t out_stride) const override {
-    RSR_DCHECK(n == 0 || points[0].dim() == offsets_.size());
-    lsh_internal::GridHashBatch(
-        [points](size_t i) { return points[i].coords().data(); }, n,
-        offsets_.data(), offsets_.size(), w_, salt_, out, out_stride);
-  }
-
+  // Eval's. The kernel is runtime-dispatched (AVX2 when the host supports
+  // it; bit-identical either way).
   bool SupportsFlatBatch() const override { return true; }
-  void EvalFlatBatch(const double* coords, size_t n, size_t dim, uint64_t* out,
-                     size_t out_stride) const override {
-    RSR_DCHECK(dim == offsets_.size());
-    lsh_internal::GridHashFlat(coords, n, dim, offsets_.data(), w_, salt_, out,
-                               out_stride);
-  }
-
   void EvalColsBatch(const double* cols, size_t col_stride, size_t n,
                      size_t dim, uint64_t* out,
                      size_t out_stride) const override {
     RSR_DCHECK(dim == offsets_.size());
     lsh_internal::GridHashCols(cols, col_stride, n, dim, offsets_.data(), w_,
                                salt_, out, out_stride);
-  }
-
-  void EvalCoordBatch(const Coord* coords, size_t n, size_t dim, uint64_t* out,
-                      size_t out_stride) const override {
-    RSR_DCHECK(dim == offsets_.size());
-    lsh_internal::GridHashCoord(coords, n, dim, offsets_.data(), w_, salt_, out,
-                                out_stride);
   }
 
  private:

@@ -38,63 +38,39 @@ struct MlshParams {
 
 /// A single drawn hash function.
 ///
-/// Eval is the scalar reference; EvalBatch is the hot path used by the
-/// protocol pipelines: one virtual call per *function* instead of one per
-/// (point, function), with the drawn parameters hoisted out of the point
-/// loop. Every override must produce bucket ids bit-identical to Eval
-/// (enforced by lsh_batch_test), so transcripts never depend on which path
-/// a caller takes.
+/// Eval is the scalar reference. Each family also implements exactly one
+/// batch entry, over the one layout its arithmetic starts from, and the
+/// eval pipeline (eval_pipeline.h) feeds it: one virtual call per
+/// (function, block) instead of one per (point, function), with the drawn
+/// parameters hoisted out of the point loop. Both entries write
+/// out[i * out_stride] for i in [0, n), so a call fills one column of a
+/// row-major evaluation matrix, and must produce bucket ids bit-identical to
+/// Eval (pinned by lsh_batch_test and simd_dispatch_test), so transcripts
+/// never depend on which path a caller takes.
 class LshFunction {
  public:
   virtual ~LshFunction() = default;
   virtual uint64_t Eval(const Point& x) const = 0;
 
-  /// Writes Eval(points[i]) to out[i * out_stride] for i in [0, n). The
-  /// stride lets callers fill one column of a row-major evaluation matrix
-  /// without a scatter pass. Default: scalar loop over Eval.
-  virtual void EvalBatch(const Point* points, size_t n, uint64_t* out,
-                         size_t out_stride) const;
-
-  /// Convenience: contiguous batch over a whole point set.
-  void EvalBatch(const PointSet& points, uint64_t* out) const {
-    EvalBatch(points.data(), points.size(), out, 1);
-  }
-
-  /// True iff EvalFlatBatch is implemented. Families whose arithmetic starts
-  /// from double coordinates (grid, one-sided grid, 2-stable) support it;
-  /// the pipeline then converts each point block to a flat double matrix
-  /// ONCE instead of re-reading Point heap rows and re-converting int64
-  /// coordinates in every one of the s function passes. int64 -> double is a
-  /// single well-defined rounding, so hoisting it cannot change any bucket
-  /// id. Families that consume raw integer coordinates (bit sampling) stay
-  /// on the Point path.
+  /// Selects the batch entry: true for families whose arithmetic starts
+  /// from double coordinates (grid, one-sided grid, 2-stable), which
+  /// implement EvalColsBatch; false for families that consume raw integer
+  /// coordinates (bit sampling), which implement EvalCoordBatch. int64 ->
+  /// double is a single well-defined rounding, so converting once per block
+  /// cannot change any bucket id.
   virtual bool SupportsFlatBatch() const { return false; }
 
-  /// Like EvalBatch over a row-major n x dim matrix of pre-converted double
-  /// coordinates (coords[i * dim + j] == (double)points[i][j]). Only valid
-  /// when SupportsFlatBatch(); the default CHECK-fails.
-  virtual void EvalFlatBatch(const double* coords, size_t n, size_t dim,
-                             uint64_t* out, size_t out_stride) const;
-
-  /// Like EvalFlatBatch, but over COLUMN-major double coordinates:
-  /// cols[j * col_stride + i] == (double)points[i][j]. This is the layout
-  /// the eval pipeline pre-transposes each point block into (once, amortized
-  /// over all s drawn functions), and the layout the SIMD kernels want — a
-  /// vector lane load of consecutive points' coordinate j is one contiguous
-  /// load. Only valid when SupportsFlatBatch(). The default gathers rows
-  /// into a temporary and defers to EvalFlatBatch (correct for any flat
-  /// family, but allocating); the built-in flat families override it with
-  /// the dispatched column kernels.
+  /// Batch over COLUMN-major double coordinates:
+  /// cols[j * col_stride + i] == (double)points[i][j]. A vector lane load of
+  /// consecutive points' coordinate j is one contiguous load. Implemented
+  /// iff SupportsFlatBatch(); the base version CHECK-fails.
   virtual void EvalColsBatch(const double* cols, size_t col_stride, size_t n,
                              size_t dim, uint64_t* out,
                              size_t out_stride) const;
 
-  /// Like EvalBatch over a row-major n x dim matrix of raw integer
-  /// coordinates (one PointStore arena: coords + i * dim is point i's row).
-  /// Every family overrides this allocation-free (the batch kernels are
-  /// templated on the row accessor); the default materializes a temporary
-  /// Point per row, which is correct for exotic families but slow. Results
-  /// are bit-identical to Eval, like every other batch path.
+  /// Batch over a row-major n x dim matrix of raw integer coordinates (one
+  /// PointStore arena: coords + i * dim is point i's row). Implemented iff
+  /// !SupportsFlatBatch(); the base version CHECK-fails.
   virtual void EvalCoordBatch(const Coord* coords, size_t n, size_t dim,
                               uint64_t* out, size_t out_stride) const;
 };

@@ -25,41 +25,19 @@ class PStableFunction : public LshFunction {
     return static_cast<uint64_t>(cell);
   }
 
-  // Function-major hot paths: the projection vector stays hot across the
-  // whole point range, and points run interleaved (batch_kernels.h) so their
-  // serial dot-product chains overlap instead of stalling on FMA latency.
+  // Function-major hot path: the projection vector stays hot across the
+  // whole point block, and points run interleaved (batch_kernels.h) so their
+  // serial dot-product chains overlap instead of stalling on add latency.
   // Each point's accumulation order and the final `/ w` division match Eval
-  // exactly, so the lattice cell is bit-identical. The contiguous-row paths
-  // use the runtime-dispatched (AVX2-capable) kernels.
-  void EvalBatch(const Point* points, size_t n, uint64_t* out,
-                 size_t out_stride) const override {
-    RSR_DCHECK(n == 0 || points[0].dim() == direction_.size());
-    lsh_internal::DotCellBatch(
-        [points](size_t i) { return points[i].coords().data(); }, n,
-        direction_.data(), direction_.size(), offset_, w_, out, out_stride);
-  }
-
+  // exactly, so the lattice cell is bit-identical. The kernel is
+  // runtime-dispatched (AVX2-capable).
   bool SupportsFlatBatch() const override { return true; }
-  void EvalFlatBatch(const double* coords, size_t n, size_t dim, uint64_t* out,
-                     size_t out_stride) const override {
-    RSR_DCHECK(dim == direction_.size());
-    lsh_internal::DotCellFlat(coords, n, dim, direction_.data(), offset_, w_,
-                              out, out_stride);
-  }
-
   void EvalColsBatch(const double* cols, size_t col_stride, size_t n,
                      size_t dim, uint64_t* out,
                      size_t out_stride) const override {
     RSR_DCHECK(dim == direction_.size());
     lsh_internal::DotCellCols(cols, col_stride, n, dim, direction_.data(),
                               offset_, w_, out, out_stride);
-  }
-
-  void EvalCoordBatch(const Coord* coords, size_t n, size_t dim, uint64_t* out,
-                      size_t out_stride) const override {
-    RSR_DCHECK(dim == direction_.size());
-    lsh_internal::DotCellCoord(coords, n, dim, direction_.data(), offset_, w_,
-                               out, out_stride);
   }
 
  private:

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "hashing/hash64.h"
+#include "lsh/eval_pipeline.h"
 
 namespace rsr {
 
@@ -64,26 +65,16 @@ void DistanceSensitiveBloomFilter::Insert(const Point& p) {
 }
 
 void DistanceSensitiveBloomFilter::InsertMany(const PointStore& points) {
-  const size_t n = points.size();
-  if (n == 0) return;
-  const size_t dim = points.dim();
-  std::vector<uint64_t> acc(n);
-  std::vector<uint64_t> evals(n);
-  for (size_t bank = 0; bank < params_.num_banks; ++bank) {
-    std::fill(acc.begin(), acc.end(), mix_salts_[bank]);
-    for (size_t j = 0; j < params_.hashes_per_bank; ++j) {
-      const LshFunction& fn = *functions_[bank * params_.hashes_per_bank + j];
-      if (fn.SupportsFlatBatch()) {
-        fn.EvalFlatBatch(points.DoublePlane(), n, dim, evals.data(), 1);
-      } else {
-        fn.EvalCoordBatch(points.coord_data(), n, dim, evals.data(), 1);
-      }
-      for (size_t i = 0; i < n; ++i) acc[i] = HashCombine(acc[i], evals[i]);
-    }
-    std::vector<uint8_t>& bits = banks_[bank];
-    for (size_t i = 0; i < n; ++i) {
-      size_t idx = static_cast<size_t>(acc[i] % params_.bits_per_bank);
-      bits[idx / 8] |= static_cast<uint8_t>(1u << (idx % 8));
+  EvalMatrix evals;
+  EvaluateAllInto(points, functions_, /*num_threads=*/1, &evals);
+  const size_t g = params_.hashes_per_bank;
+  for (size_t i = 0; i < evals.rows(); ++i) {
+    const uint64_t* row = evals.row(i);
+    for (size_t bank = 0; bank < params_.num_banks; ++bank) {
+      uint64_t h = mix_salts_[bank];
+      for (size_t j = 0; j < g; ++j) h = HashCombine(h, row[bank * g + j]);
+      size_t idx = static_cast<size_t>(h % params_.bits_per_bank);
+      banks_[bank][idx / 8] |= static_cast<uint8_t>(1u << (idx % 8));
     }
   }
 }

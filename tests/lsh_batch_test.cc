@@ -1,10 +1,11 @@
 // Exhaustive scalar-vs-batch equivalence for the LSH evaluation pipeline.
 //
-// The batch paths (LshFunction::EvalBatch, EvaluateAllInto,
-// PairwiseVectorHash::EvalPrefixes/EvalBatch, PairwiseHash::EvalMany) are
-// pure re-schedulings of the scalar reference implementations: every bucket
-// id, prefix key, and protocol transcript must be bit-identical for every
-// family, seed, stride, and thread count. These tests pin that contract.
+// The batch paths (EvaluateAllInto/EvaluateRowsInto, PairwiseVectorHash::
+// EvalPrefixes/EvalBatch, PairwiseHash::EvalMany) are pure re-schedulings of
+// the scalar reference implementations: every bucket id, prefix key, and
+// protocol transcript must be bit-identical for every family, seed, block
+// size, and thread count. These tests pin that contract; the families'
+// batch entries themselves are pinned in simd_dispatch_test.
 #include <memory>
 #include <vector>
 
@@ -39,69 +40,6 @@ std::vector<std::unique_ptr<LshFamily>> AllFamilies(size_t dim, Coord delta) {
   return families;
 }
 
-TEST(LshBatchTest, EvalBatchMatchesScalarForAllFamilies) {
-  const size_t dim = 6;
-  const Coord delta = 1023;
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    PointSet points = GenerateUniform(129, dim, delta, &rng);
-    for (const auto& family : AllFamilies(dim, delta)) {
-      for (int draw = 0; draw < 8; ++draw) {
-        std::unique_ptr<LshFunction> fn = family->Draw(&rng);
-        std::vector<uint64_t> batch(points.size());
-        fn->EvalBatch(points, batch.data());
-        for (size_t i = 0; i < points.size(); ++i) {
-          ASSERT_EQ(batch[i], fn->Eval(points[i]))
-              << family->Name() << " seed " << seed << " point " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(LshBatchTest, EvalBatchHonorsStride) {
-  const size_t dim = 4;
-  Rng rng(11);
-  PointSet points = GenerateUniform(33, dim, 255, &rng);
-  for (const auto& family : AllFamilies(dim, 255)) {
-    std::unique_ptr<LshFunction> fn = family->Draw(&rng);
-    const size_t stride = 7;
-    std::vector<uint64_t> strided(points.size() * stride, 0xabababababababab);
-    fn->EvalBatch(points.data(), points.size(), strided.data(), stride);
-    for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(strided[i * stride], fn->Eval(points[i])) << family->Name();
-      // Untouched gap entries prove the write pattern is exactly strided.
-      if (stride > 1 && i * stride + 1 < strided.size()) {
-        EXPECT_EQ(strided[i * stride + 1], 0xababababababababULL);
-      }
-    }
-  }
-}
-
-TEST(LshBatchTest, EvalFlatBatchMatchesScalar) {
-  const size_t dim = 6;
-  Rng rng(51);
-  PointSet points = GenerateUniform(67, dim, 1023, &rng);
-  std::vector<double> flat(points.size() * dim);
-  for (size_t i = 0; i < points.size(); ++i) {
-    for (size_t j = 0; j < dim; ++j) {
-      flat[i * dim + j] = static_cast<double>(points[i][j]);
-    }
-  }
-  for (const auto& family : AllFamilies(dim, 1023)) {
-    std::unique_ptr<LshFunction> fn = family->Draw(&rng);
-    if (!fn->SupportsFlatBatch()) {
-      EXPECT_EQ(family->Name(), "bit_sampling");  // raw-coordinate family
-      continue;
-    }
-    std::vector<uint64_t> out(points.size());
-    fn->EvalFlatBatch(flat.data(), points.size(), dim, out.data(), 1);
-    for (size_t i = 0; i < points.size(); ++i) {
-      ASSERT_EQ(out[i], fn->Eval(points[i])) << family->Name();
-    }
-  }
-}
-
 TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
   const size_t dim = 5;
   Rng rng(21);
@@ -128,6 +66,41 @@ TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
         for (size_t g = 0; g < functions.size(); ++g) {
           ASSERT_EQ(matrix.at(i, g), reference[i][g])
               << family->Name() << " threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+// Wide points shrink the pipeline's blocks: dim 257 gets 15-row blocks, dim
+// 1024 4-row blocks, and dim 4097 one-row blocks evaluated in place. Every
+// block size, and a one-row range fill, must still equal Eval.
+TEST(LshBatchTest, EvaluateAllIntoMatchesScalarAtEveryBlockSize) {
+  for (size_t dim : {size_t{257}, size_t{1024}, size_t{4097}}) {
+    Rng rng(60 + dim);
+    PointSet points = GenerateUniform(37, dim, 1023, &rng);
+    PointStore store = PointStore::FromPointSet(dim, points);
+    std::vector<std::unique_ptr<LshFamily>> families = AllFamilies(dim, 1023);
+    families.pop_back();  // bit sampling reads the arena at any dim
+    for (const auto& family : families) {
+      std::vector<std::unique_ptr<LshFunction>> functions =
+          DrawMany(*family, 5, &rng);
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        EvalMatrix matrix;
+        EvaluateAllInto(store, functions, threads, &matrix);
+        ASSERT_EQ(matrix.rows(), points.size());
+        for (size_t i = 0; i < points.size(); ++i) {
+          for (size_t g = 0; g < functions.size(); ++g) {
+            ASSERT_EQ(matrix.at(i, g), functions[g]->Eval(points[i]))
+                << family->Name() << " dim " << dim << " threads " << threads;
+          }
+        }
+        EvalMatrix one_row;
+        EvaluateRowsInto(store, 11, 1, functions, threads, &one_row);
+        ASSERT_EQ(one_row.rows(), 1u);
+        for (size_t g = 0; g < functions.size(); ++g) {
+          ASSERT_EQ(one_row.at(0, g), functions[g]->Eval(points[11]))
+              << family->Name() << " dim " << dim << " threads " << threads;
         }
       }
     }

@@ -77,6 +77,28 @@ TEST(PointStoreTest, ReadFromRejectsDimensionMismatch) {
   EXPECT_FALSE(r.status().ok());
 }
 
+TEST(PointStoreTest, ReadFromRejectsACountTheStreamCannotHold) {
+  // A dim-1 row of zeros is two bytes (varint dim, one coordinate varint),
+  // the minimum dim + 1, so ten bytes hold exactly five rows.
+  ByteWriter w;
+  for (int i = 0; i < 5; ++i) {
+    w.PutVarint64(1);
+    w.PutSignedVarint64(0);
+  }
+  ByteReader fits(w.buffer());
+  EXPECT_EQ(PointStore::ReadFrom(&fits, 1, 5).size(), 5u);
+  EXPECT_TRUE(fits.FinishAndCheckConsumed().ok());
+
+  // A wire count the bytes cannot hold poisons the reader before anything
+  // is reserved; 2^40 rows used to throw std::bad_alloc.
+  for (size_t count : {size_t{6}, size_t{1} << 40}) {
+    ByteReader r(w.buffer());
+    PointStore parsed = PointStore::ReadFrom(&r, 1, count);
+    EXPECT_TRUE(r.failed()) << count;
+    EXPECT_TRUE(parsed.empty()) << count;
+  }
+}
+
 TEST(PointStoreTest, ContentHashManyMatchesPerPointContentHash) {
   Rng rng(3);
   PointSet points = GenerateUniform(57, 6, 1023, &rng);
@@ -217,6 +239,19 @@ TEST(PointStoreTest, WarmEvaluateAllIntoAndInsertManyDoNotAllocate) {
   before = AllocationCount();
   EvaluateAllInto(store, bit_draws, /*num_threads=*/1, &matrix);
   EXPECT_EQ(AllocationCount(), before);
+
+  // Wide points (short blocks at dim 300, one-row in-place blocks at dim
+  // 4097) keep the warm fill allocation-free.
+  for (size_t wide_dim : {size_t{300}, size_t{4097}}) {
+    PointStore wide = GenerateUniformStore(24, wide_dim, 1023, &rng);
+    PStableFamily wide_family(wide_dim, 32.0);
+    std::vector<std::unique_ptr<LshFunction>> wide_draws =
+        DrawMany(wide_family, 8, &draw_rng);
+    EvaluateAllInto(wide, wide_draws, /*num_threads=*/1, &matrix);  // warm-up
+    before = AllocationCount();
+    EvaluateAllInto(wide, wide_draws, /*num_threads=*/1, &matrix);
+    EXPECT_EQ(AllocationCount(), before) << "dim " << wide_dim;
+  }
 }
 
 TEST(PointStoreTest, StoreGeneratorsMatchLegacyGenerators) {
