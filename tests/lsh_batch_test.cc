@@ -1,11 +1,12 @@
 // Exhaustive scalar-vs-batch equivalence for the LSH evaluation pipeline.
 //
-// The batch paths (EvaluateAllInto/EvaluateRowsInto, PairwiseVectorHash::
-// EvalPrefixes/EvalBatch, PairwiseHash::EvalMany) are pure re-schedulings of
-// the scalar reference implementations: every bucket id, prefix key, and
-// protocol transcript must be bit-identical for every family, seed, block
-// size, and thread count. These tests pin that contract; the families'
-// batch entries themselves are pinned in simd_dispatch_test.
+// The batch paths (each family's one batch entry, EvaluateAllInto/
+// EvaluateRowsInto, PairwiseVectorHash::EvalPrefixes/EvalBatch,
+// PairwiseHash::EvalMany) are pure re-schedulings of the scalar reference
+// implementations: every bucket id, prefix key, and protocol transcript must
+// be bit-identical for every family, seed, stride, block size, and thread
+// count. These tests pin that contract; simd_dispatch_test also sweeps the
+// families' batch entries across dims and batch sizes.
 #include <memory>
 #include <vector>
 
@@ -38,6 +39,95 @@ std::vector<std::unique_ptr<LshFamily>> AllFamilies(size_t dim, Coord delta) {
       dim, static_cast<double>(2 * dim)));
   (void)delta;
   return families;
+}
+
+// Runs fn's one batch entry over `points` (all of dimension `dim`), writing
+// out[i * out_stride]: the flat families read column-major doubles, bit
+// sampling reads the row-major Coord arena.
+void BatchEval(const LshFunction& fn, const PointSet& points, size_t dim,
+               uint64_t* out, size_t out_stride) {
+  const size_t n = points.size();
+  if (fn.SupportsFlatBatch()) {
+    std::vector<double> cols(dim * n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < dim; ++j) {
+        cols[j * n + i] = static_cast<double>(points[i][j]);
+      }
+    }
+    fn.EvalColsBatch(cols.data(), n, n, dim, out, out_stride);
+  } else {
+    std::vector<Coord> arena(n * dim);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < dim; ++j) arena[i * dim + j] = points[i][j];
+    }
+    fn.EvalCoordBatch(arena.data(), n, dim, out, out_stride);
+  }
+}
+
+TEST(LshBatchTest, EvalBatchMatchesScalarForAllFamilies) {
+  const size_t dim = 6;
+  const Coord delta = 1023;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    PointSet points = GenerateUniform(129, dim, delta, &rng);
+    for (const auto& family : AllFamilies(dim, delta)) {
+      for (int draw = 0; draw < 8; ++draw) {
+        std::unique_ptr<LshFunction> fn = family->Draw(&rng);
+        std::vector<uint64_t> batch(points.size());
+        BatchEval(*fn, points, dim, batch.data(), 1);
+        for (size_t i = 0; i < points.size(); ++i) {
+          ASSERT_EQ(batch[i], fn->Eval(points[i]))
+              << family->Name() << " seed " << seed << " point " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(LshBatchTest, EvalBatchHonorsStride) {
+  const size_t dim = 4;
+  Rng rng(11);
+  PointSet points = GenerateUniform(33, dim, 255, &rng);
+  for (const auto& family : AllFamilies(dim, 255)) {
+    std::unique_ptr<LshFunction> fn = family->Draw(&rng);
+    const size_t stride = 7;
+    std::vector<uint64_t> strided(points.size() * stride, 0xabababababababab);
+    BatchEval(*fn, points, dim, strided.data(), stride);
+    for (size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(strided[i * stride], fn->Eval(points[i])) << family->Name();
+      // Untouched gap entries prove the write pattern is exactly strided.
+      if (stride > 1 && i * stride + 1 < strided.size()) {
+        EXPECT_EQ(strided[i * stride + 1], 0xababababababababULL);
+      }
+    }
+  }
+}
+
+// The flat families take double coordinates (column-major, contiguous
+// columns here); bit sampling is the one family without a flat entry.
+TEST(LshBatchTest, EvalFlatBatchMatchesScalar) {
+  const size_t dim = 6;
+  Rng rng(51);
+  PointSet points = GenerateUniform(67, dim, 1023, &rng);
+  const size_t n = points.size();
+  std::vector<double> cols(dim * n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < dim; ++j) {
+      cols[j * n + i] = static_cast<double>(points[i][j]);
+    }
+  }
+  for (const auto& family : AllFamilies(dim, 1023)) {
+    std::unique_ptr<LshFunction> fn = family->Draw(&rng);
+    if (!fn->SupportsFlatBatch()) {
+      EXPECT_EQ(family->Name(), "bit_sampling");  // raw-coordinate family
+      continue;
+    }
+    std::vector<uint64_t> out(n);
+    fn->EvalColsBatch(cols.data(), n, n, dim, out.data(), 1);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[i], fn->Eval(points[i])) << family->Name();
+    }
+  }
 }
 
 TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
