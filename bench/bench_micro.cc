@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/gap_protocol.h"
 #include "core/sync_dataset.h"
 #include "core/sync_server.h"
 #include "emd/emd.h"
@@ -587,6 +588,40 @@ void BM_SessionSyncRebuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SessionSyncRebuild)->Unit(benchmark::kMicrosecond);
+
+/// Gap far detection at the gap_hamming key shape (h = 44, tau = 31.246):
+/// n Bob keys over 16 slot values (m = 4 sampled bits per slot, so unrelated
+/// keys share ~1/16 of their entries), Alice holding each at 2 flipped slots
+/// plus 16 unrelated far keys. Per-key time grows only with the log n of the
+/// sorts and lookups, where a pairwise scan would grow linearly in n.
+void BM_GapFarDetect(benchmark::State& state) {
+  constexpr size_t kH = 44;
+  constexpr double kTau = 31.246;
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(0xfa4);
+  auto random_key = [&] {
+    SlottedSet key(kH);
+    for (auto& v : key) v = static_cast<uint32_t>(rng.Below(16));
+    return key;
+  };
+  std::vector<SlottedSet> bob(n);
+  for (auto& key : bob) key = random_key();
+  std::vector<SlottedSet> alice = bob;
+  for (auto& key : alice) {
+    for (int flip = 0; flip < 2; ++flip) key[rng.Below(kH)] ^= 1;
+  }
+  for (size_t i = 0; i < 16; ++i) alice[rng.Below(n)] = random_key();
+  for (auto _ : state) {
+    internal::FarKeys far = internal::FindFarKeys(alice, bob, kH, kTau);
+    benchmark::DoNotOptimize(far.rows.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_GapFarDetect)
+    ->Arg(2048)
+    ->Arg(8192)
+    ->Arg(32768)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rsr

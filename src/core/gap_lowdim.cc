@@ -38,10 +38,12 @@ Result<GapProtocolReport> RunLowDimGapProtocol(const PointStore& alice,
   derived.m = 1;
   derived.q1 = derived.p1;
   derived.q2 = 0.0;
-  derived.h = static_cast<size_t>(std::ceil(
-      params.h_multiplier * std::log2(static_cast<double>(n)) /
-      std::log2(1.0 / rho_hat)));
-  if (derived.h < 1) derived.h = 1;
+  RSR_ASSIGN_OR_RETURN(
+      derived.h,
+      internal::KeyLength(params.h_multiplier *
+                              std::log2(static_cast<double>(n)) /
+                              std::log2(1.0 / rho_hat),
+                          1));
   derived.tau = 1.0;  // far iff NO entry matches (p2 = 0 one-sided error)
 
   internal::GapPipelineConfig config;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <unordered_map>
+#include <compare>
+#include <numeric>
+#include <utility>
 
 #include "hashing/hash64.h"
 #include "hashing/pairwise.h"
@@ -13,6 +14,98 @@
 namespace rsr {
 
 namespace internal {
+
+Result<size_t> KeyLength(double h_real, size_t min_h) {
+  const double h = std::ceil(h_real);
+  if (!(h >= 0 && h < static_cast<double>(kMaxSlots))) {
+    return Status::InvalidArgument(
+        "derived key length h must be finite, non-negative and below 2^16");
+  }
+  return std::max(min_h, static_cast<size_t>(h));
+}
+
+FarKeys FindFarKeys(const std::vector<SlottedSet>& alice_keys,
+                    const std::vector<SlottedSet>& bob_keys, size_t h,
+                    double tau) {
+  // T_A order: distinct keys in lexicographic order, owners in index order.
+  std::vector<size_t> order(alice_keys.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const auto by_key = alice_keys[a] <=> alice_keys[b];
+    return by_key < 0 || (by_key == 0 && a < b);
+  });
+  FarKeys result;
+  auto flag_far_groups = [&](auto&& is_far) {
+    for (size_t g = 0; g < order.size();) {
+      const SlottedSet& key = alice_keys[order[g]];
+      size_t end = g + 1;
+      while (end < order.size() && alice_keys[order[end]] == key) ++end;
+      if (is_far(key)) {
+        ++result.far_keys;
+        result.rows.insert(result.rows.end(), order.data() + g,
+                           order.data() + end);
+      }
+      g = end;
+    }
+  };
+
+  // The best match count is an integer, so best < tau iff best < need.
+  const double need_real = std::ceil(tau);
+  if (!(need_real > 0)) return result;  // every key meets the threshold
+  if (need_real > static_cast<double>(h)) {  // no key can meet it
+    flag_far_groups([](const SlottedSet&) { return true; });
+    return result;
+  }
+  const size_t need = static_cast<size_t>(need_real);
+  const size_t max_mismatches = h - need;
+
+  // Pigeonhole: a Bob key within max_mismatches of an Alice key equals it on
+  // at least one of max_mismatches + 1 disjoint slot blocks, so indexing
+  // Bob's keys by block hash finds every close candidate.
+  const size_t nb = bob_keys.size();
+  const size_t blocks = max_mismatches + 1;
+  auto block_hash = [&](const SlottedSet& key, size_t j) {
+    const size_t begin = j * h / blocks;
+    const size_t end = (j + 1) * h / blocks;
+    return HashBytes(key.data() + begin, (end - begin) * sizeof(uint32_t), j);
+  };
+  // Block j's (hash, Bob index) pairs at [j * nb, (j + 1) * nb), sorted.
+  std::vector<std::pair<uint64_t, size_t>> index(blocks * nb);
+  for (size_t j = 0; j < blocks; ++j) {
+    auto* segment = index.data() + j * nb;
+    for (size_t b = 0; b < nb; ++b) {
+      segment[b] = {block_hash(bob_keys[b], j), b};
+    }
+    std::sort(segment, segment + nb);
+  }
+
+  auto is_close = [&](const SlottedSet& a, const SlottedSet& b) {
+    RSR_DCHECK(a.size() == h && b.size() == h);
+    size_t mismatches = 0;
+    for (size_t slot = 0; slot < h; ++slot) {
+      if (a[slot] != b[slot] && ++mismatches > max_mismatches) return false;
+    }
+    return true;
+  };
+  std::vector<size_t> stamp(nb, 0);  // Bob keys verified for key `round`
+  size_t round = 0;
+  flag_far_groups([&](const SlottedSet& key) {
+    ++round;
+    for (size_t j = 0; j < blocks; ++j) {
+      const uint64_t hash = block_hash(key, j);
+      const auto* segment_end = index.data() + (j + 1) * nb;
+      const auto* it = std::lower_bound(segment_end - nb, segment_end,
+                                        std::make_pair(hash, size_t{0}));
+      for (; it != segment_end && it->first == hash; ++it) {
+        if (stamp[it->second] == round) continue;
+        stamp[it->second] = round;
+        if (is_close(key, bob_keys[it->second])) return false;
+      }
+    }
+    return true;
+  });
+  return result;
+}
 
 Result<GapPipelineResult> RunGapPipeline(
     const PointStore& alice, const PointStore& bob,
@@ -70,43 +163,12 @@ Result<GapPipelineResult> RunGapPipeline(
   result.comm.Append(result.reconciliation.comm);
   const std::vector<SlottedSet>& bob_recovered = result.reconciliation.bob_sets;
 
-  // ---- Far detection: best entry-match count of each Alice key against
-  // every Bob key (exact-equal keys short-circuit at h matches). ----
-  std::unordered_map<uint64_t, std::vector<size_t>> entry_index;
-  for (size_t b = 0; b < bob_recovered.size(); ++b) {
-    for (size_t slot = 0; slot < config.h; ++slot) {
-      uint64_t entry =
-          (static_cast<uint64_t>(slot) << 32) | bob_recovered[b][slot];
-      entry_index[entry].push_back(b);
-    }
-  }
-
-  std::map<SlottedSet, std::vector<size_t>> alice_by_key;
-  for (size_t i = 0; i < alice.size(); ++i) {
-    alice_by_key[alice_keys[i]].push_back(i);
-  }
-
-  std::vector<size_t> match_count(bob_recovered.size(), 0);
-  std::vector<size_t> touched;
-  for (const auto& [key, owners] : alice_by_key) {
-    touched.clear();
-    size_t best = 0;
-    for (size_t slot = 0; slot < config.h; ++slot) {
-      uint64_t entry = (static_cast<uint64_t>(slot) << 32) | key[slot];
-      auto it = entry_index.find(entry);
-      if (it == entry_index.end()) continue;
-      for (size_t b : it->second) {
-        if (match_count[b] == 0) touched.push_back(b);
-        ++match_count[b];
-        best = std::max(best, match_count[b]);
-      }
-    }
-    for (size_t b : touched) match_count[b] = 0;
-    if (static_cast<double>(best) < config.tau) {
-      ++result.far_keys;
-      for (size_t i : owners) result.transmitted.push_back(alice.MakePoint(i));
-    }
-  }
+  // ---- Far detection: keys no Bob key matches in >= tau entries. ----
+  const FarKeys far =
+      FindFarKeys(alice_keys, bob_recovered, config.h, config.tau);
+  result.far_keys = far.far_keys;
+  result.transmitted.reserve(far.rows.size());
+  for (size_t i : far.rows) result.transmitted.push_back(alice.MakePoint(i));
 
   // ---- Round 4: Alice transmits T_A. ----
   ByteWriter message;
@@ -165,9 +227,12 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
   if (derived.q1 <= derived.q2) {
     return Status::InvalidArgument("no usable gap: p1^m <= p2^m");
   }
-  derived.h = static_cast<size_t>(std::ceil(
-      params.h_multiplier * std::log2(static_cast<double>(std::max<size_t>(n, 4)))));
-  if (derived.h < 2) derived.h = 2;
+  RSR_ASSIGN_OR_RETURN(
+      derived.h,
+      internal::KeyLength(
+          params.h_multiplier *
+              std::log2(static_cast<double>(std::max<size_t>(n, 4))),
+          2));
   // Paper threshold h(1/2 + eps/6) specializes q2 = 1/2; with q2 < 1/2 the
   // Chernoff midpoint of the two expectations is the natural generalization.
   derived.tau = static_cast<double>(derived.h) * (derived.q1 + derived.q2) / 2.0;

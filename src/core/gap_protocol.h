@@ -97,6 +97,27 @@ struct GapPipelineResult {
   CommStats comm;
 };
 
+/// The key length h = max(min_h, ceil(h_real)). InvalidArgument when h_real
+/// is NaN, negative or infinite, or h reaches kMaxSlots; the entry points
+/// call it before drawing the h*m LSH functions.
+Result<size_t> KeyLength(double h_real, size_t min_h);
+
+/// Alice's far keys: each distinct key whose best entry-match count against
+/// every Bob key is below tau.
+struct FarKeys {
+  /// Number of distinct far keys.
+  size_t far_keys = 0;
+  /// Alice's rows carrying a far key (T_A): far keys in lexicographic order,
+  /// each key's rows in index order.
+  std::vector<size_t> rows;
+};
+
+/// Far detection over keys of length h (src/core/README.md, "Gap far
+/// detection"): exact, in near-linear time, by pigeonhole block lookup.
+FarKeys FindFarKeys(const std::vector<SlottedSet>& alice_keys,
+                    const std::vector<SlottedSet>& bob_keys, size_t h,
+                    double tau);
+
 Result<GapPipelineResult> RunGapPipeline(
     const PointStore& alice, const PointStore& bob,
     const std::vector<std::unique_ptr<LshFunction>>& functions,

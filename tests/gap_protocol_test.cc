@@ -5,11 +5,17 @@
 // S_A is within r2 of some point of S'_B = S_B ∪ T_A.
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/gap_lowdim.h"
 #include "core/gap_protocol.h"
+#include "hashing/hash64.h"
 #include "workload/generators.h"
 
 namespace rsr {
@@ -234,6 +240,23 @@ TEST(GapProtocolTest, DerivedParametersSane) {
   EXPECT_LT(report->derived.tau, static_cast<double>(report->derived.h));
 }
 
+TEST(GapProtocolTest, RejectsOversizedOrNonFiniteKeyLength) {
+  // h = ceil(20000 * log2 32) = 100000 key slots exceeds the 2^16 limit;
+  // the protocol refuses before drawing h*m LSH functions.
+  Rng rng(7);
+  PointStore pts = GenerateUniformStore(32, 64, 1, &rng);
+  GapProtocolParams params = HammingParams(64, 1, 16, 1, 3);
+  params.h_multiplier = 20000;
+  EXPECT_EQ(RunGapProtocol(pts, pts, params).status().code(),
+            StatusCode::kInvalidArgument);
+  for (double bad : {-1.0, std::nan(""), HUGE_VAL}) {
+    params.h_multiplier = bad;
+    EXPECT_EQ(RunGapProtocol(pts, pts, params).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
 // ------------------------------------------------------------- low-dim --
 
 TEST(LowDimGapTest, RejectsRhoHatAboveOne) {
@@ -247,6 +270,26 @@ TEST(LowDimGapTest, RejectsRhoHatAboveOne) {
   params.r2 = 20;  // rho_hat = 10*8/20 = 4 >= 1
   params.seed = 1;
   EXPECT_FALSE(RunLowDimGapProtocol(pts, pts, params).ok());
+}
+
+TEST(LowDimGapTest, RejectsOversizedKeyLength) {
+  // rho_hat = 1*4/4.0001 passes the < 1 check, but h = ceil(log2 64 /
+  // log2(1/rho_hat)) is about 166000 key slots, beyond the 2^16 limit.
+  Rng rng(8);
+  PointStore pts = GenerateUniformStore(64, 4, 255, &rng);
+  LowDimGapParams params;
+  params.metric = MetricKind::kL1;
+  params.dim = 4;
+  params.delta = 255;
+  params.r1 = 1;
+  params.r2 = 4.0001;
+  params.seed = 1;
+  EXPECT_EQ(RunLowDimGapProtocol(pts, pts, params).status().code(),
+            StatusCode::kInvalidArgument);
+  params.h_multiplier = std::nan("");
+  params.r2 = 100;
+  EXPECT_EQ(RunLowDimGapProtocol(pts, pts, params).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(LowDimGapTest, GuaranteeHoldsL1) {
@@ -340,6 +383,232 @@ TEST(LowDimGapTest, DerivedHScalesWithRhoHat) {
   ASSERT_TRUE(rt.ok());
   ASSERT_TRUE(rl.ok());
   EXPECT_GT(rt->derived.h, rl->derived.h);
+}
+
+// ------------------------------------------------------- far detection --
+
+/// The definition, by brute force over every (Alice key, Bob key) pair:
+/// distinct Alice keys in lexicographic order whose best entry-match count
+/// is below tau, each key's rows in index order.
+internal::FarKeys BruteForceFarKeys(const std::vector<SlottedSet>& alice,
+                                    const std::vector<SlottedSet>& bob,
+                                    size_t h, double tau) {
+  std::map<SlottedSet, std::vector<size_t>> by_key;
+  for (size_t i = 0; i < alice.size(); ++i) by_key[alice[i]].push_back(i);
+  internal::FarKeys far;
+  for (const auto& [key, owners] : by_key) {
+    size_t best = 0;
+    for (const SlottedSet& b : bob) {
+      size_t matches = 0;
+      for (size_t slot = 0; slot < h; ++slot) matches += key[slot] == b[slot];
+      best = std::max(best, matches);
+    }
+    if (static_cast<double>(best) < tau) {
+      ++far.far_keys;
+      far.rows.insert(far.rows.end(), owners.begin(), owners.end());
+    }
+  }
+  return far;
+}
+
+/// Random keys over a small alphabet (unrelated keys share about a third of
+/// their entries), with Alice keys planted at `plant_mismatches` (and one
+/// either side) slots from a Bob key, and duplicates on both sides.
+void PlantedKeys(size_t h, size_t plant_mismatches, uint64_t seed,
+                 std::vector<SlottedSet>* alice, std::vector<SlottedSet>* bob) {
+  Rng rng(seed);
+  auto random_key = [&] {
+    SlottedSet key(h);
+    for (auto& v : key) v = static_cast<uint32_t>(rng.Below(3));
+    return key;
+  };
+  bob->clear();
+  alice->clear();
+  for (int i = 0; i < 40; ++i) bob->push_back(random_key());
+  for (int i = 0; i < 8; ++i) bob->push_back((*bob)[rng.Below(bob->size())]);
+  for (int i = 0; i < 60; ++i) {
+    if (rng.Bernoulli(0.3)) {
+      alice->push_back(random_key());
+      continue;
+    }
+    SlottedSet key = (*bob)[rng.Below(bob->size())];
+    const int64_t lo = static_cast<int64_t>(plant_mismatches) - 1;
+    const int64_t e = std::clamp<int64_t>(rng.UniformInt(lo, lo + 2), 0,
+                                          static_cast<int64_t>(h));
+    // Flip e distinct slots to values no Bob key uses.
+    std::vector<size_t> slots(h);
+    std::iota(slots.begin(), slots.end(), size_t{0});
+    for (int64_t k = 0; k < e; ++k) {
+      const size_t pick = static_cast<size_t>(k) +
+                          rng.Below(h - static_cast<size_t>(k));
+      std::swap(slots[static_cast<size_t>(k)], slots[pick]);
+      key[slots[static_cast<size_t>(k)]] += 3;
+    }
+    alice->push_back(key);
+  }
+  for (int i = 0; i < 10; ++i) {
+    alice->push_back((*alice)[rng.Below(alice->size())]);
+  }
+}
+
+TEST(FindFarKeysTest, MatchesBruteForceOnPlantedKeys) {
+  for (size_t h : {size_t{1}, size_t{2}, size_t{44}, size_t{64}}) {
+    const double hd = static_cast<double>(h);
+    for (double tau : {0.0, 0.5, 1.0, 2.0, 31.246, hd - 1, hd - 0.5, hd,
+                       hd + 1}) {
+      const double need = std::max(0.0, std::ceil(tau));
+      const size_t plant = need >= hd ? 0 : h - static_cast<size_t>(need);
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        std::vector<SlottedSet> alice, bob;
+        PlantedKeys(h, plant, seed * 1000 + h, &alice, &bob);
+        SCOPED_TRACE(testing::Message()
+                     << "h=" << h << " tau=" << tau << " seed=" << seed);
+        const internal::FarKeys expected =
+            BruteForceFarKeys(alice, bob, h, tau);
+        const internal::FarKeys got = internal::FindFarKeys(alice, bob, h, tau);
+        EXPECT_EQ(got.far_keys, expected.far_keys);
+        EXPECT_EQ(got.rows, expected.rows);
+
+        const std::vector<SlottedSet> no_bob;
+        const internal::FarKeys expected_empty =
+            BruteForceFarKeys(alice, no_bob, h, tau);
+        const internal::FarKeys got_empty =
+            internal::FindFarKeys(alice, no_bob, h, tau);
+        EXPECT_EQ(got_empty.far_keys, expected_empty.far_keys);
+        EXPECT_EQ(got_empty.rows, expected_empty.rows);
+      }
+    }
+  }
+}
+
+TEST(FindFarKeysTest, PlantedKeysStraddleTheThreshold) {
+  // Guards the differential test above: at the gap_hamming shape the planted
+  // keys must produce both far and close keys, or agreement proves little.
+  std::vector<SlottedSet> alice, bob;
+  PlantedKeys(44, 44 - 32, 1044, &alice, &bob);
+  const internal::FarKeys far = internal::FindFarKeys(alice, bob, 44, 31.246);
+  EXPECT_GT(far.far_keys, 5u);
+  EXPECT_LT(far.rows.size(), alice.size() - 5);
+}
+
+// ------------------------------------------------------ transcript pins --
+//
+// Fixed-seed transcripts of three configurations: the far-key count, the
+// size and content hash of T_A (in transmission order), and every message's
+// label and byte count. Any change to key construction, reconciliation or
+// far detection that alters what goes on the wire fails here. ROADMAP item 4
+// (sending fewer bits per key) changes transcripts on purpose and will
+// re-pin these values.
+
+struct GapTranscriptPin {
+  size_t far_keys;
+  size_t transmitted;
+  uint64_t transmitted_hash;
+  std::vector<std::pair<std::string, size_t>> messages;
+};
+
+void ExpectTranscriptPin(const GapProtocolReport& report,
+                         const GapTranscriptPin& pin) {
+  uint64_t hash = 0;
+  for (const Point& p : report.transmitted) {
+    hash = HashCombine(hash, p.ContentHash(0x9a9));
+  }
+  std::vector<std::pair<std::string, size_t>> messages;
+  for (const MessageRecord& m : report.comm.messages) {
+    messages.emplace_back(m.label, m.bytes);
+  }
+  EXPECT_EQ(report.far_keys, pin.far_keys);
+  EXPECT_EQ(report.transmitted.size(), pin.transmitted);
+  EXPECT_EQ(hash, pin.transmitted_hash);
+  EXPECT_EQ(messages, pin.messages);
+}
+
+TEST(GapTranscriptPinTest, HammingAtBenchmarkShape) {
+  // perfbench's gap_hamming shape (d = 1024, k = 16, r1 = 4, r2 = 192,
+  // h_multiplier 4, fingerprint reconciler) at n = 512.
+  NoisyPairConfig config;
+  config.metric = MetricKind::kHamming;
+  config.dim = 1024;
+  config.delta = 1;
+  config.n = 512;
+  config.outliers = 16;
+  config.noise = 2;
+  config.outlier_dist = 320;
+  config.seed = 1;
+  auto workload = GenerateNoisyPairStore(config);
+  ASSERT_TRUE(workload.ok());
+  GapProtocolParams params = HammingParams(1024, 4, 192, 16, Mix64(1));
+  params.h_multiplier = 4.0;
+  params.reconciler.mode = SetsReconcilerMode::kFingerprint;
+  params.reconciler.codec = WireCodec::kClassic;
+  auto report = RunGapProtocol(workload->alice, workload->bob, params);
+  ASSERT_TRUE(report.ok());
+  ExpectTranscriptPin(*report, {16, 16, 0xa2150f6a10bff4abULL,
+                                {{"B->A sig-iblt", 18558},
+                                 {"A->B missing-sigs", 1754},
+                                 {"B->A elem-iblt+fps", 65004},
+                                 {"A->B far elements", 16417}}});
+}
+
+TEST(GapTranscriptPinTest, L1Gap) {
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL1;
+  config.dim = 8;
+  config.delta = 1023;
+  config.n = 96;
+  config.outliers = 3;
+  config.noise = 3;
+  config.outlier_dist = 300;
+  config.seed = 17;
+  auto workload = GenerateNoisyPairStore(config);
+  ASSERT_TRUE(workload.ok());
+  GapProtocolParams params;
+  params.metric = MetricKind::kL1;
+  params.dim = 8;
+  params.delta = 1023;
+  params.r1 = 3;
+  params.r2 = 200;
+  params.k = 3;
+  params.reconciler.codec = WireCodec::kClassic;
+  params.seed = 23;
+  auto report = RunGapProtocol(workload->alice, workload->bob, params);
+  ASSERT_TRUE(report.ok());
+  ExpectTranscriptPin(*report, {3, 3, 0xa84e9bba78577412ULL,
+                                {{"B->A sig-iblt", 2841},
+                                 {"A->B missing-sigs", 345},
+                                 {"B->A elem-iblt+fps", 10765},
+                                 {"A->B far elements", 50}}});
+}
+
+TEST(GapTranscriptPinTest, LowDimL1) {
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL1;
+  config.dim = 2;
+  config.delta = 4095;
+  config.n = 96;
+  config.outliers = 3;
+  config.noise = 2;
+  config.outlier_dist = 200;
+  config.seed = 29;
+  auto workload = GenerateNoisyPairStore(config);
+  ASSERT_TRUE(workload.ok());
+  LowDimGapParams params;
+  params.metric = MetricKind::kL1;
+  params.dim = 2;
+  params.delta = 4095;
+  params.r1 = 2;
+  params.r2 = 100;
+  params.k = 3;
+  params.h_multiplier = 2.0;
+  params.reconciler.codec = WireCodec::kClassic;
+  params.seed = 31;
+  auto report = RunLowDimGapProtocol(workload->alice, workload->bob, params);
+  ASSERT_TRUE(report.ok());
+  ExpectTranscriptPin(*report, {3, 3, 0x222a214953c8d36ULL,
+                                {{"B->A sig-iblt", 1033},
+                                 {"A->B missing-sigs", 121},
+                                 {"B->A elem-iblt+fps", 1336},
+                                 {"A->B far elements", 16}}});
 }
 
 }  // namespace
