@@ -96,12 +96,13 @@ void DsBloomCurve() {
     int accepted = 0;
     double votes = 0;
     const int kProbes = 200;
+    std::vector<Coord> q(dim);
     for (int i = 0; i < kProbes; ++i) {
-      Point base = points.MakePoint(rng.Below(points.size()));
-      Point q = PerturbPoint(base, MetricKind::kHamming,
-                             static_cast<double>(dist), 1, &rng);
-      accepted += filter.QueryNear(q);
-      votes += filter.VoteFraction(q);
+      const Coord* base = points.row(rng.Below(points.size()));
+      PerturbRowInto(base, dim, MetricKind::kHamming, static_cast<double>(dist),
+                     1, &rng, q.data());
+      accepted += filter.QueryNear(PointRef(q.data(), dim));
+      votes += filter.VoteFraction(PointRef(q.data(), dim));
     }
     std::printf("%10d   %11.2f   %10.2f\n", dist,
                 static_cast<double>(accepted) / kProbes, votes / kProbes);

@@ -14,7 +14,6 @@
 #include "lsh/batch_kernels.h"
 #include "hashing/kindependent.h"
 #include "hashing/pairwise.h"
-#include "hashing/tabulation.h"
 #include "lsh/bit_sampling.h"
 #include "lsh/eval_pipeline.h"
 #include "lsh/grid.h"
@@ -61,17 +60,6 @@ void BM_KIndependentHash(benchmark::State& state) {
 }
 BENCHMARK(BM_KIndependentHash)->Arg(3)->Arg(5);
 
-void BM_TabulationHash(benchmark::State& state) {
-  Rng rng(3);
-  TabulationHash h = TabulationHash::Draw(&rng);
-  uint64_t x = 999;
-  for (auto _ : state) {
-    x = h.Eval(x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_TabulationHash);
-
 void BM_PairwiseVectorHash(benchmark::State& state) {
   Rng rng(4);
   PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
@@ -87,9 +75,9 @@ void BM_LshEval(benchmark::State& state, const LshFamily& family,
                 size_t dim, Coord delta) {
   Rng rng(5);
   auto h = family.Draw(&rng);
-  Point p = GenerateUniform(1, dim, delta, &rng)[0];
+  PointStore p = GenerateUniformStore(1, dim, delta, &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(h->Eval(p));
+    benchmark::DoNotOptimize(h->Eval(p[0]));
   }
 }
 
@@ -136,20 +124,19 @@ BENCHMARK(BM_PairwisePrefixes);
 void BM_EvaluateAll(benchmark::State& state) {
   // The EMD protocol's point-hashing stage: n=4096 points x s=64 MLSH draws
   // (2-stable family, the bench_emd_l2 configuration) via the batch
-  // pipeline, fed from a scattered PointSet. The per-iteration copy into a
-  // fresh arena reproduces what the retired EvaluateAllInto(PointSet)
-  // adapter paid, so the BM_StoreEvaluateAll comparison stays meaningful.
-  // Time is per full matrix; items/sec counts (point, draw) pairs.
+  // pipeline, on a fresh copy of the store per iteration: a copy drops the
+  // cached double plane, so every fill converts the coordinates again
+  // (compare BM_StoreEvaluateAll, which reuses the plane). Time is per full
+  // matrix; items/sec counts (point, draw) pairs.
   Rng rng(16);
   std::unique_ptr<MlshFamily> family = MakeMlshFamily(MetricKind::kL2, 8, 32.0);
   Rng draw_rng(17);
   std::vector<std::unique_ptr<LshFunction>> draws =
       DrawMany(*family, 64, &draw_rng);
-  PointSet points = GenerateUniform(4096, 8, 1023, &rng);
+  PointStore points = GenerateUniformStore(4096, 8, 1023, &rng);
   EvalMatrix matrix;
   for (auto _ : state) {
-    PointStore store(8);
-    store.AppendMany(points);
+    PointStore store = points;
     EvaluateAllInto(store, draws, /*num_threads=*/1, &matrix);
     benchmark::DoNotOptimize(matrix.data());
     benchmark::ClobberMemory();
@@ -163,8 +150,8 @@ BENCHMARK(BM_EvaluateAll);
 //
 // BM_StoreEvaluateAll is the store-native protocol hot path: the double
 // plane is built once per store, so a warm fill does zero per-point work
-// beyond the kernels themselves. Compare against BM_EvaluateAll (the
-// PointSet adapter, which copies into a temporary arena per call).
+// beyond the kernels themselves. Compare against BM_EvaluateAll (a fresh
+// store copy per call, so the plane is rebuilt every time).
 
 void BM_PointStoreAppend(benchmark::State& state) {
   // Per-point append rate into a reserved arena (the generator hot path).
@@ -304,10 +291,10 @@ void BM_RibltInsert(benchmark::State& state) {
   params.seed = 9;
   Riblt table(params);
   Rng rng(10);
-  Point p = GenerateUniform(1, 8, 1023, &rng)[0];
+  PointStore p = GenerateUniformStore(1, 8, 1023, &rng);
   uint64_t key = 1;
   for (auto _ : state) {
-    table.Update(key++, p.coords().data(), +1);
+    table.Update(key++, p.row(0), +1);
   }
 }
 BENCHMARK(BM_RibltInsert);
@@ -325,7 +312,7 @@ void BM_RibltDecode(benchmark::State& state) {
   Rng rng(12);
   for (int i = 0; i < 16; ++i) {
     table.Update(rng.Next(),
-                 GenerateUniform(1, 8, 1023, &rng)[0].coords().data(), +1);
+                 GenerateUniformStore(1, 8, 1023, &rng).row(0), +1);
   }
   for (auto _ : state) {
     Rng decode_rng(13);
@@ -348,7 +335,7 @@ void BM_RibltDecodeStore(benchmark::State& state) {
   Rng rng(12);
   for (int i = 0; i < 16; ++i) {
     table.Update(rng.Next(),
-                 GenerateUniform(1, 8, 1023, &rng)[0].coords().data(), +1);
+                 GenerateUniformStore(1, 8, 1023, &rng).row(0), +1);
   }
   RibltDecodeResult result;
   for (auto _ : state) {
@@ -444,8 +431,8 @@ BENCHMARK(BM_RibltFold)
 void BM_EmdExact(benchmark::State& state) {
   Rng rng(14);
   size_t n = static_cast<size_t>(state.range(0));
-  PointSet x = GenerateUniform(n, 4, 1023, &rng);
-  PointSet y = GenerateUniform(n, 4, 1023, &rng);
+  PointStore x = GenerateUniformStore(n, 4, 1023, &rng);
+  PointStore y = GenerateUniformStore(n, 4, 1023, &rng);
   Metric metric(MetricKind::kL2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EmdExact(x, y, metric));
@@ -456,8 +443,8 @@ BENCHMARK(BM_EmdExact)->Arg(32)->Arg(128);
 void BM_EmdKAll(benchmark::State& state) {
   Rng rng(15);
   size_t n = static_cast<size_t>(state.range(0));
-  PointSet x = GenerateUniform(n, 4, 1023, &rng);
-  PointSet y = GenerateUniform(n, 4, 1023, &rng);
+  PointStore x = GenerateUniformStore(n, 4, 1023, &rng);
+  PointStore y = GenerateUniformStore(n, 4, 1023, &rng);
   Metric metric(MetricKind::kL2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EmdKAll(x, y, metric));
@@ -485,17 +472,16 @@ EmdProtocolParams SyncBenchParams() {
 
 PointStore DistinctBenchRows(size_t count, uint64_t seed) {
   Rng rng(seed);
-  PointSet points = GenerateUniform(count * 2, 4, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
+  PointStore points = GenerateUniformStore(count * 2, 4, 1023, &rng);
+  points.SortLexAndDedup();
   RSR_CHECK(points.size() >= count);  // dim 4, delta 1023: ~2^40 row space
-  points.resize(count);
-  return PointStore::FromPointSet(4, points);
+  points.Truncate(count);
+  return points;
 }
 
 struct SyncBenchState {
   std::unique_ptr<SyncDataset> dataset;
-  Point spare;  // a row NOT in the dataset: inserted + deleted per cycle
+  PointStore spare;  // one row NOT in the dataset: inserted + deleted per cycle
 };
 
 /// One maintained dataset per n, built once per process: the benchmarks time
@@ -510,7 +496,8 @@ SyncBenchState* CachedSyncState(size_t n) {
     auto ds = SyncDataset::Create(initial, SyncBenchParams());
     RSR_CHECK(ds.ok());
     SyncBenchState state{std::make_unique<SyncDataset>(std::move(*ds)),
-                         rows.MakePoint(n)};
+                         PointStore(4)};
+    state.spare.Append(rows[n]);
     state.dataset->Reserve(n + 2);
     it = cache->emplace(n, std::move(state)).first;
   }
@@ -523,7 +510,7 @@ SyncBenchState* CachedSyncState(size_t n) {
 void BM_SyncDatasetInsert(benchmark::State& state) {
   SyncBenchState* s = CachedSyncState(static_cast<size_t>(state.range(0)));
   SyncDataset* ds = s->dataset.get();
-  PointRef spare(s->spare.coords().data(), s->spare.dim());
+  PointRef spare = s->spare[0];
   {  // warm the pooled scratch outside the timed loop
     auto key = ds->Insert(spare);
     RSR_CHECK(key.ok() && ds->Delete(*key).ok());
@@ -547,7 +534,7 @@ BENCHMARK(BM_SyncDatasetInsert)
 void BM_SessionSyncWarm(benchmark::State& state) {
   constexpr size_t kN = 4096;
   static SyncServer* server = nullptr;
-  static Point* spare = nullptr;
+  static PointStore* spare = nullptr;
   if (server == nullptr) {
     PointStore rows = DistinctBenchRows(kN + 1, 0x5e55);
     PointStore initial(4);
@@ -556,9 +543,10 @@ void BM_SessionSyncWarm(benchmark::State& state) {
     RSR_CHECK(ds.ok());
     ds->Reserve(kN + 2);
     server = new SyncServer(std::move(*ds));
-    spare = new Point(rows.MakePoint(kN));
+    spare = new PointStore(4);
+    spare->Append(rows[kN]);
   }
-  PointRef spare_ref(spare->coords().data(), spare->dim());
+  PointRef spare_ref = (*spare)[0];
   for (auto _ : state) {
     auto key = server->Insert(spare_ref);
     Status st = server->Delete(*key);

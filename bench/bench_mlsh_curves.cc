@@ -31,8 +31,10 @@ void RunFamily(MetricKind kind, size_t dim, Coord delta, double w) {
   Rng workload_rng(kind == MetricKind::kHamming ? 11 : 22);
   for (int step = 1; step <= 7; ++step) {
     double target = params.r * 0.13 * step;
-    Point x = GenerateUniform(1, dim, delta, &workload_rng)[0];
-    Point y = PerturbPoint(x, kind, target, delta, &workload_rng);
+    PointStore xy = GenerateUniformStore(1, dim, delta, &workload_rng);
+    PerturbRowInto(xy.row(0), dim, kind, target, delta, &workload_rng,
+                   xy.AppendRow());
+    const PointRef x = xy[0], y = xy[1];
     double f = metric.Distance(x, y);
     if (f <= 0 || f > params.r) continue;
 

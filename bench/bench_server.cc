@@ -61,12 +61,11 @@ EmdProtocolParams ServerParams() {
 /// and out as churn (each replacement swaps a pair's resident half).
 PointStore DistinctRows(size_t count, uint64_t seed) {
   Rng rng(seed);
-  PointSet points = GenerateUniform(count * 2, kDim, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
+  PointStore points = GenerateUniformStore(count * 2, kDim, 1023, &rng);
+  points.SortLexAndDedup();
   RSR_CHECK(points.size() >= count);
-  points.resize(count);
-  return PointStore::FromPointSet(kDim, points);
+  points.Truncate(count);
+  return points;
 }
 
 /// Runs `sync` cycles until the time budget is spent; returns syncs/sec.

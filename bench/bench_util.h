@@ -56,21 +56,8 @@ inline Stats Summarize(std::vector<double> values) {
   return stats;
 }
 
-/// Max over a in alice of min distance to s_b_prime (Gap model check).
-inline double WorstCaseGap(const PointSet& alice, const PointSet& s_b_prime,
-                           const Metric& metric) {
-  double worst = 0;
-  for (const Point& a : alice) {
-    double best = 1e300;
-    for (const Point& b : s_b_prime) {
-      best = std::min(best, metric.Distance(a, b));
-    }
-    worst = std::max(worst, best);
-  }
-  return worst;
-}
-
-/// Store-native form: alice rows against a repaired PointSet.
+/// Max over alice's rows of the min distance to a report's output set
+/// (Gap model check).
 inline double WorstCaseGap(const PointStore& alice, const PointSet& s_b_prime,
                            const Metric& metric) {
   RSR_DCHECK(s_b_prime.empty() || alice.empty() ||

@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Runs the google-benchmark microbenchmark suite (bench_micro) in JSON mode
-# and writes BENCH_micro.json at the repo root. Its numbers are per-operation
-# detail for one host only: the committed BENCH_micro.json and the snapshots
-# in bench/baselines/ were recorded on a 1-vCPU host and are not comparable
-# with runs on any other (perfbench/README.md, "Not comparable"). A
-# performance claim compares same-host parent/change pairs of
+# and writes BENCH_micro.json at the repo root (git-ignored; no run is kept
+# in the repository). Its numbers are per-operation detail for one host
+# only. A performance claim compares same-host parent/change pairs of
 # `python3 perfbench/run.py`; to compare microbenchmarks, run this script on
 # both commits on one host and compare those two outputs.
 #

@@ -2,7 +2,8 @@
 # CI entry point: tier-1 verify (Release build + full CTest run; -Wall
 # -Wextra are enabled unconditionally by CMakeLists.txt, and the strict
 # warning wall -Wconversion/-Wsign-conversion/... by the default-ON
-# RSR_STRICT_WARNINGS option), the static-analysis wall
+# RSR_STRICT_WARNINGS option), the perfbench smoke test
+# (perfbench/smoke_test.py), the static-analysis wall
 # (ci/static_analysis.sh: clang-tidy + the wire-invariant linter +
 # shellcheck + scoped clang-format check — see docs/STATIC_ANALYSIS.md),
 # followed by a Debug + Address/UB-sanitizer configuration of the same test
@@ -49,6 +50,13 @@ cmake -B build -S . "${WERROR_FLAGS[@]}" "${TIMEOUT_FLAGS[@]}" \
   ${BENCH_FLAGS[@]+"${BENCH_FLAGS[@]}"}
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j --timeout "${CTEST_TIMEOUT}"
+
+# The end-to-end benchmark's smoke test: builds perfbench/ against this tree
+# and runs every workload for a few syncs, untraced and traced, with its
+# correctness gates. An API change that breaks the benchmark's compile or a
+# gate fails here, not in a later benchmark run.
+echo "==== perfbench smoke test ===="
+python3 perfbench/smoke_test.py
 
 # Static-analysis wall: runs against the compile_commands.json the tier-1
 # configure just exported. Placed after the tests so a plain compile error

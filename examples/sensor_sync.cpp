@@ -17,8 +17,8 @@
 
 namespace {
 
-// Row-view helper: works for PointStore-vs-PointStore and
-// PointStore-vs-PointSet without materializing any Point.
+// Row-view helpers: a store against a store, or against a report's output
+// set (PointSet).
 double WorstGap(const rsr::PointStore& from, const rsr::PointStore& to,
                 const rsr::Metric& metric) {
   double worst = 0;
@@ -38,7 +38,9 @@ double WorstGap(const rsr::PointStore& from, const rsr::PointSet& to,
   for (size_t i = 0; i < from.size(); ++i) {
     double best = 1e300;
     for (const auto& b : to) {
-      best = std::min(best, metric.Distance(b, from[i]));
+      best = std::min(best,
+                      metric.Distance(b.coords().data(), from.row(i),
+                                      from.dim()));
     }
     worst = std::max(worst, best);
   }

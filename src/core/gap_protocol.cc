@@ -172,8 +172,8 @@ Result<GapPipelineResult> RunGapPipeline(
 
   // ---- Round 4: Alice transmits T_A. ----
   ByteWriter message;
-  message.PutVarint64(result.transmitted.size());
-  for (const Point& p : result.transmitted) p.WriteTo(&message);
+  message.PutVarint64(far.rows.size());
+  for (size_t i : far.rows) alice.WritePointTo(&message, i);
   Transcript transcript;
   transcript.Send("A->B far elements", message);
   result.comm.Append(transcript.stats());

@@ -135,8 +135,7 @@ bool OneRoundBloomIndexGuess(const IndexInstance& instance, size_t budget_bits,
   PointRef probe = instance.alice[instance.query_index];
   std::vector<Coord> coords(probe.data(), probe.data() + probe.dim());
   coords[instance.dim - 1] = 1;
-  Point candidate(std::move(coords));
-  uint64_t base = candidate.ContentHash(seed);
+  uint64_t base = PointRef(coords.data(), coords.size()).ContentHash(seed);
   bool all_set = true;
   for (int j = 0; j < num_hashes; ++j) {
     if (!test_bit(HashCombine(base, static_cast<uint64_t>(j)))) {

@@ -24,7 +24,7 @@ void RunBroadcastRound(const std::vector<PointStore>& deduped,
                        const MultiPartyParams& params, size_t num_cells,
                        uint64_t decode_salt, Transcript* transcript,
                        std::vector<char>* ok, std::vector<Status>* hard_error,
-                       std::vector<PointSet>* additions) {
+                       std::vector<PointStore>* additions) {
   const size_t s = deduped.size();
   RibltParams sketch_params;
   sketch_params.num_cells = num_cells;
@@ -57,7 +57,7 @@ void RunBroadcastRound(const std::vector<PointStore>& deduped,
       params.max_decode > 0 ? params.max_decode : num_cells;
   ok->assign(s, 0);
   hard_error->assign(s, Status());
-  additions->assign(s, PointSet());
+  additions->assign(s, PointStore(params.dim));
   // Each party's combine + decode is independent of every other party's, so
   // the loop shards across threads; per-party outcomes land in disjoint
   // slots (ok is a char array — vector<bool> is a bitfield and not safe for
@@ -110,7 +110,7 @@ void RunBroadcastRound(const std::vector<PointStore>& deduped,
         if (have_last && keys[p] == last_key) continue;
         last_key = keys[p];
         have_last = true;
-        (*additions)[i].push_back(decoded->inserted.MakePoint(p));
+        (*additions)[i].Append(decoded->inserted[p]);
       }
     }
   });
@@ -217,7 +217,7 @@ Result<MultiPartyReport> RunMultiPartyUnion(
 
   std::vector<char> ok;
   std::vector<Status> hard_error;
-  std::vector<PointSet> additions;
+  std::vector<PointStore> additions;
   RunBroadcastRound(deduped, party_keys, params, cells, 0xdeca, &transcript,
                     &ok, &hard_error, &additions);
 
@@ -244,15 +244,13 @@ Result<MultiPartyReport> RunMultiPartyUnion(
   report.party_ok.assign(s, false);
   report.all_ok = true;
   for (size_t i = 0; i < s; ++i) {
-    report.final_sets[i] = deduped[i].ToPointSet();
     report.party_ok[i] = ok[i] != 0;
-    if (!ok[i]) {
+    if (ok[i]) {
+      deduped[i].AppendStore(additions[i]);
+    } else {
       report.all_ok = false;
-      continue;
     }
-    for (Point& p : additions[i]) {
-      report.final_sets[i].push_back(std::move(p));
-    }
+    report.final_sets[i] = deduped[i].ToPointSet();
   }
   return report;
 }

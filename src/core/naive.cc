@@ -19,17 +19,20 @@ NaiveReport RunNaiveFullTransfer(const PointStore& alice, const PointStore& bob,
   transcript.Send("A->B full point set", message);
   report.comm = transcript.stats();
 
+  // Bob parses the rows at Alice's dimension; the wire count is bounded by
+  // the bytes present (PointStore::ReadFrom). A nonzero count implies Alice
+  // has points, hence a dimension.
   ByteReader reader(message.buffer());
-  uint64_t count = reader.GetVarint64();
-  PointSet received;
-  for (uint64_t i = 0; i < count; ++i) {
-    received.push_back(Point::ReadFrom(&reader));
+  const uint64_t count = reader.GetVarint64();
+  PointStore received;
+  if (count > 0) {
+    received =
+        PointStore::ReadFrom(&reader, alice.dim(), static_cast<size_t>(count));
   }
-  if (union_mode) {
-    report.s_b_prime = bob.ToPointSet();
-    for (auto& p : received) report.s_b_prime.push_back(std::move(p));
-  } else {
-    report.s_b_prime = std::move(received);
+  RSR_CHECK(reader.FinishAndCheckConsumed().ok());
+  if (union_mode) report.s_b_prime = bob.ToPointSet();
+  for (size_t i = 0; i < received.size(); ++i) {
+    report.s_b_prime.push_back(received.MakePoint(i));
   }
   return report;
 }
@@ -48,16 +51,15 @@ void PackRowInto(const Coord* row, size_t dim, uint8_t* out) {
   }
 }
 
-Point UnpackPoint(const std::vector<uint8_t>& bytes, size_t dim) {
-  std::vector<Coord> coords(dim, 0);
+/// Inverse of PackRowInto: fills the dim coordinates of `out`.
+void UnpackRowInto(const std::vector<uint8_t>& bytes, size_t dim, Coord* out) {
   for (size_t j = 0; j < dim; ++j) {
     uint64_t v = 0;
     for (size_t b = 0; b < 8; ++b) {
       v |= static_cast<uint64_t>(bytes[j * 8 + b]) << (8 * b);
     }
-    coords[j] = static_cast<Coord>(v);
+    out[j] = static_cast<Coord>(v);
   }
-  return Point(std::move(coords));
 }
 
 /// Occurrence-salted content keys (canonical order: lexicographic). The
@@ -181,10 +183,10 @@ Result<ExactReconReport> RunExactIbltReconciliation(
   report.diff_size = decoded.entries.size();
 
   std::vector<char> removed(bob_sorted.size(), 0);
-  PointSet additions;
+  PointStore additions(params.dim);
   for (const IbltEntry& entry : decoded.entries) {
     if (entry.count > 0) {
-      additions.push_back(UnpackPoint(entry.value, params.dim));
+      UnpackRowInto(entry.value, params.dim, additions.AppendRow());
     } else {
       auto it = bob_key_to_index.find(entry.key);
       if (it == bob_key_to_index.end()) {
@@ -196,7 +198,9 @@ Result<ExactReconReport> RunExactIbltReconciliation(
   for (size_t i = 0; i < bob_sorted.size(); ++i) {
     if (!removed[i]) report.s_b_prime.push_back(bob_sorted.MakePoint(i));
   }
-  for (auto& p : additions) report.s_b_prime.push_back(std::move(p));
+  for (size_t i = 0; i < additions.size(); ++i) {
+    report.s_b_prime.push_back(additions.MakePoint(i));
+  }
   return report;
 }
 

@@ -133,7 +133,7 @@ Result<QuadtreeEmdReport> RunQuadtreeEmdProtocol(
     report.decoded_level = level;
     // Repair: remove Bob's matched-away points, add Alice's cell centers.
     std::vector<size_t> to_remove;
-    PointSet to_add;
+    PointStore to_add(params.dim);
     Coord half = level == 0 ? 0 : (Coord{1} << (level - 1));
     for (const IbltEntry& entry : decoded.entries) {
       if (entry.count < 0) {
@@ -144,13 +144,12 @@ Result<QuadtreeEmdReport> RunQuadtreeEmdProtocol(
         to_remove.push_back(it->second);
       } else {
         std::vector<uint64_t> cells = UnpackCells(entry.value, params.dim);
-        std::vector<Coord> coords(params.dim);
+        Coord* center = to_add.AppendRow();
         for (size_t j = 0; j < params.dim; ++j) {
-          Coord center = static_cast<Coord>(cells[j] << level) + half -
-                         shift[j];
-          coords[j] = std::clamp<Coord>(center, 0, params.delta);
+          center[j] = std::clamp<Coord>(
+              static_cast<Coord>(cells[j] << level) + half - shift[j], 0,
+              params.delta);
         }
-        to_add.push_back(Point(std::move(coords)));
       }
     }
     // Keep |S'_B| = n: pair removals with additions.
@@ -162,7 +161,9 @@ Result<QuadtreeEmdReport> RunQuadtreeEmdProtocol(
     for (size_t i = 0; i < n; ++i) {
       if (!removed[i]) report.s_b_prime.push_back(bob.MakePoint(i));
     }
-    for (size_t i = 0; i < moves; ++i) report.s_b_prime.push_back(to_add[i]);
+    for (size_t i = 0; i < moves; ++i) {
+      report.s_b_prime.push_back(to_add.MakePoint(i));
+    }
     RSR_CHECK_EQ(report.s_b_prime.size(), n);
     return report;
   }

@@ -17,14 +17,13 @@
 
 namespace rsr {
 
-/// Lightweight row-pointer view over either representation: DistanceMatrix
-/// and the EMD oracles accept PointSet and PointStore interchangeably (the
-/// distance kernels read coordinates through these spans, never through
-/// Point::operator[]). Implicit conversion keeps call sites unchanged.
+/// Row-pointer view for the EMD oracles: a PointStore, or a protocol
+/// report's output set (PointSet) read back for evaluation. The distance
+/// kernels read coordinates through these spans.
 class PointRows {
  public:
-  PointRows(const PointSet& points);      // NOLINT: implicit adapter
-  PointRows(const PointStore& points);    // NOLINT: implicit adapter
+  PointRows(const PointStore& points);    // NOLINT: implicit view
+  PointRows(const PointSet& points);      // NOLINT: implicit view
 
   size_t size() const { return rows_.size(); }
   size_t dim() const { return dim_; }

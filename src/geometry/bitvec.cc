@@ -13,19 +13,4 @@ int64_t BitVec::DistanceTo(const BitVec& other) const {
   return dist;
 }
 
-Point BitVec::ToPoint() const {
-  std::vector<Coord> coords(num_bits_);
-  for (size_t i = 0; i < num_bits_; ++i) coords[i] = Get(i) ? 1 : 0;
-  return Point(std::move(coords));
-}
-
-BitVec BitVec::FromPoint(const Point& p) {
-  BitVec bv(p.dim());
-  for (size_t i = 0; i < p.dim(); ++i) {
-    RSR_DCHECK(p[i] == 0 || p[i] == 1);
-    bv.Set(i, p[i] != 0);
-  }
-  return bv;
-}
-
 }  // namespace rsr

@@ -2,15 +2,14 @@
 //
 // Theorem 4.6's hard instance and the Gap benchmarks on ({0,1}^d, Hamming)
 // use d as large as n; popcount over packed words keeps distance evaluation
-// ~64x faster than the generic Point path. Conversions to/from Point are
-// provided for interoperability with the generic protocol code.
+// ~64x faster than the generic row kernels (metric.h).
 #ifndef RSR_GEOMETRY_BITVEC_H_
 #define RSR_GEOMETRY_BITVEC_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "geometry/point.h"
+#include "util/logging.h"
 
 namespace rsr {
 
@@ -46,9 +45,6 @@ class BitVec {
   bool operator==(const BitVec& other) const {
     return num_bits_ == other.num_bits_ && words_ == other.words_;
   }
-
-  Point ToPoint() const;
-  static BitVec FromPoint(const Point& p);
 
  private:
   size_t num_bits_ = 0;

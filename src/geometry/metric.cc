@@ -30,26 +30,6 @@ double L2Distance(const Coord* a, const Coord* b, size_t dim) {
   return std::sqrt(sum);
 }
 
-double HammingDistance(const Point& a, const Point& b) {
-  RSR_DCHECK(a.dim() == b.dim());
-  return HammingDistance(a.coords().data(), b.coords().data(), a.dim());
-}
-
-double L1Distance(const Point& a, const Point& b) {
-  RSR_DCHECK(a.dim() == b.dim());
-  return L1Distance(a.coords().data(), b.coords().data(), a.dim());
-}
-
-double L2Distance(const Point& a, const Point& b) {
-  RSR_DCHECK(a.dim() == b.dim());
-  return L2Distance(a.coords().data(), b.coords().data(), a.dim());
-}
-
-double Metric::Distance(const Point& a, const Point& b) const {
-  RSR_DCHECK(a.dim() == b.dim());
-  return Distance(a.coords().data(), b.coords().data(), a.dim());
-}
-
 double Metric::Distance(const Coord* a, const Coord* b, size_t dim) const {
   switch (kind_) {
     case MetricKind::kHamming:

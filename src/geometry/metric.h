@@ -9,7 +9,6 @@
 
 #include <string>
 
-#include "geometry/point.h"
 #include "geometry/point_store.h"
 
 namespace rsr {
@@ -20,16 +19,11 @@ enum class MetricKind {
   kL2,
 };
 
-/// Row-level distances: the shared kernels all representations delegate to.
-/// `a` and `b` point at `dim` coordinates each (a PointStore row, a Point's
-/// coordinate vector, or any strided span).
+/// Row-level distances. `a` and `b` point at `dim` coordinates each (a
+/// PointStore row or any other contiguous span).
 double HammingDistance(const Coord* a, const Coord* b, size_t dim);
 double L1Distance(const Coord* a, const Coord* b, size_t dim);
 double L2Distance(const Coord* a, const Coord* b, size_t dim);
-
-double HammingDistance(const Point& a, const Point& b);
-double L1Distance(const Point& a, const Point& b);
-double L2Distance(const Point& a, const Point& b);
 
 /// A value-type metric dispatcher.
 class Metric {
@@ -37,17 +31,10 @@ class Metric {
   explicit Metric(MetricKind kind) : kind_(kind) {}
 
   MetricKind kind() const { return kind_; }
-  double Distance(const Point& a, const Point& b) const;
-  /// Row form: same arithmetic (and therefore bit-identical doubles) as the
-  /// Point form.
   double Distance(const Coord* a, const Coord* b, size_t dim) const;
   double Distance(PointRef a, PointRef b) const {
     RSR_DCHECK(a.dim() == b.dim());
     return Distance(a.data(), b.data(), a.dim());
-  }
-  double Distance(const Point& a, PointRef b) const {
-    RSR_DCHECK(a.dim() == b.dim());
-    return Distance(a.coords().data(), b.data(), b.dim());
   }
 
   /// Diameter of [0,delta]^d under this metric.

@@ -20,16 +20,33 @@ bool PointRef::operator<(const PointRef& other) const {
                                       other.data_ + other.dim_);
 }
 
+namespace {
+
+/// True iff every coordinate in [row, row + n) lies in [0, delta].
+bool AllInDomain(const Coord* row, size_t n, Coord delta) {
+  for (size_t j = 0; j < n; ++j) {
+    if (row[j] < 0 || row[j] > delta) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool PointRef::InDomain(Coord delta) const {
-  return geometry_internal::RowInDomain(data_, dim_, delta);
+  return AllInDomain(data_, dim_, delta);
 }
 
 uint64_t PointRef::ContentHash(uint64_t salt) const {
-  return geometry_internal::RowContentHash(data_, dim_, salt);
+  uint64_t h = salt ^ (dim_ * 0x9ddfea08eb382d69ULL);
+  for (size_t j = 0; j < dim_; ++j) {
+    h = HashCombine(h, static_cast<uint64_t>(data_[j]));
+  }
+  return Mix64(h);
 }
 
 void PointRef::WriteTo(ByteWriter* w) const {
-  geometry_internal::WriteRowTo(w, data_, dim_);
+  w->PutVarint64(dim_);
+  for (size_t j = 0; j < dim_; ++j) w->PutSignedVarint64(data_[j]);
 }
 
 std::string PointRef::ToString() const {
@@ -44,24 +61,11 @@ std::string PointRef::ToString() const {
 }
 
 // RSR_ZERO_ALLOC: raw-row appends after Reserve are allocation-free
-// (PointStoreTest.AppendManyAfterReserveDoesNotAllocate).
+// (PointStoreTest.AppendAfterReserveDoesNotAllocate).
 void PointStore::Append(const Coord* coords) {
   RSR_CHECK(dim_ > 0);
   Coord* row = AppendRow();
   std::memcpy(row, coords, dim_ * sizeof(Coord));
-}
-
-// RSR_ZERO_ALLOC: pinned by PointStoreTest.AppendManyAfterReserveDoesNotAllocate.
-void PointStore::AppendMany(const PointSet& points) {
-  if (points.empty()) return;
-  if (dim_ == 0) dim_ = points[0].dim();
-  RSR_CHECK(dim_ > 0);
-  coords_.reserve(coords_.size() + points.size() * dim_);
-  for (const Point& p : points) {
-    RSR_CHECK_EQ(p.dim(), dim_);
-    coords_.insert(coords_.end(), p.coords().begin(), p.coords().end());
-  }
-  size_ += points.size();
 }
 
 void PointStore::AppendStore(const PointStore& other) {
@@ -120,13 +124,13 @@ void PointStore::RemoveRowSwap(size_t i) {
 // PointStoreTest.WarmEvaluateAllIntoAndInsertManyDoNotAllocate.
 void PointStore::ContentHashMany(uint64_t salt, uint64_t* out) const {
   for (size_t i = 0; i < size_; ++i) {
-    out[i] = geometry_internal::RowContentHash(row(i), dim_, salt);
+    out[i] = (*this)[i].ContentHash(salt);
   }
 }
 
 bool PointStore::InDomainAll(Coord delta) const {
   // One pass over the arena: every coordinate of every row shares the bound.
-  return geometry_internal::RowInDomain(coords_.data(), coords_.size(), delta);
+  return AllInDomain(coords_.data(), coords_.size(), delta);
 }
 
 void PointStore::SortLex() {
@@ -175,20 +179,8 @@ PointSet PointStore::ToPointSet() const {
   return out;
 }
 
-PointStore PointStore::FromPointSet(size_t dim, const PointSet& points) {
-  PointStore store(dim);
-  store.AppendMany(points);
-  return store;
-}
-
-PointStore PointStore::FromPointSet(const PointSet& points) {
-  PointStore store;
-  store.AppendMany(points);
-  return store;
-}
-
 void PointStore::WritePointTo(ByteWriter* w, size_t i) const {
-  geometry_internal::WriteRowTo(w, row(i), dim_);
+  (*this)[i].WriteTo(w);
 }
 
 void PointStore::WriteTo(ByteWriter* w) const {
@@ -208,7 +200,7 @@ PointStore PointStore::ReadFrom(ByteReader* r, size_t dim, size_t count) {
   for (size_t i = 0; i < count; ++i) {
     uint64_t wire_dim = r->GetVarint64();
     if (wire_dim != dim || r->failed()) {
-      // Poison the reader (same convention as Point::ReadFrom) and stop.
+      // Poison the reader and stop.
       r->Invalidate();
       return store;
     }

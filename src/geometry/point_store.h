@@ -1,11 +1,9 @@
-// Columnar, arena-backed storage for fixed-dimension point sets.
+// Columnar, arena-backed storage for fixed-dimension point sets: the one
+// working point container.
 //
-// `PointSet = std::vector<Point>` gives every point its own heap-allocated
-// coordinate vector, so the protocol hot loops ("for each point: hash /
-// insert / compare") chase one pointer per point and the batched LSH
-// pipeline had to flatten coordinates into a contiguous double matrix on
-// every run. PointStore replaces that representation with two parallel
-// arenas:
+// Every protocol, sketch, generator and wire path holds its points in a
+// PointStore and reads them through PointRef views. The store keeps two
+// parallel arenas:
 //
 //   coords : one contiguous Coord buffer, row-major (size() x dim())
 //   doubles: the same rows pre-converted to double, built lazily and cached
@@ -19,10 +17,11 @@
 // the shared dimension. They are invalidated by any mutation of the store
 // (Append/sort/dedup), exactly like iterators into a std::vector.
 //
-// Wire-format contract: WritePointTo/WriteTo/ReadFrom produce and consume
-// bytes IDENTICAL to the legacy per-`Point` format (dim varint, then one
-// zigzag varint per coordinate), so protocols that switched to stores emit
-// bit-identical transcripts (asserted by pointstore_test).
+// Point/PointSet (point.h) appear only as a protocol report's output rows:
+// MakePoint/ToPointSet fill them.
+//
+// Wire format of one point: dim as varint, then one zigzag varint per
+// coordinate (pinned by golden_classic_test).
 #ifndef RSR_GEOMETRY_POINT_STORE_H_
 #define RSR_GEOMETRY_POINT_STORE_H_
 
@@ -49,24 +48,18 @@ class PointRef {
     return data_[j];
   }
 
-  /// Materializes an owning Point (one allocation).
-  Point ToPoint() const {
-    return Point(std::vector<Coord>(data_, data_ + dim_));
-  }
-
   bool operator==(const PointRef& other) const;
   bool operator!=(const PointRef& other) const { return !(*this == other); }
-  /// Lexicographic order — identical to Point::operator<.
+  /// Lexicographic order.
   bool operator<(const PointRef& other) const;
 
-  /// True iff every coordinate lies in [0, delta]. Same predicate as
-  /// Point::InDomain (both delegate to the shared row check).
+  /// True iff every coordinate lies in [0, delta].
   bool InDomain(Coord delta) const;
 
-  /// Stable 64-bit content hash; bit-identical to Point::ContentHash.
+  /// Stable 64-bit content hash (shared across parties).
   uint64_t ContentHash(uint64_t salt) const;
 
-  /// Serialization, byte-identical to Point::WriteTo.
+  /// Serialization: dim as varint, then zigzag varints per coordinate.
   void WriteTo(ByteWriter* w) const;
 
   std::string ToString() const;
@@ -80,7 +73,7 @@ class PointRef {
 class PointStore {
  public:
   /// An empty store of unspecified dimension; usable only after assignment
-  /// or the first dimension-setting operation (AppendMany/ReadFrom).
+  /// or the first dimension-setting operation (AppendStore).
   PointStore() = default;
   explicit PointStore(size_t dim) : dim_(dim) { RSR_CHECK(dim > 0); }
 
@@ -152,13 +145,7 @@ class PointStore {
     RSR_CHECK_EQ(p.dim(), dim_);
     Append(p.data());
   }
-  void Append(const Point& p) {
-    RSR_CHECK_EQ(p.dim(), dim_);
-    Append(p.coords().data());
-  }
-  /// Bulk append. A default-constructed store adopts the dimension of the
-  /// first point; a dimensioned store requires every point to match.
-  void AppendMany(const PointSet& points);
+  /// Bulk append. A default-constructed store adopts `other`'s dimension.
   /// `other` must be a different store (self-append would read the arena
   /// while growing it).
   void AppendStore(const PointStore& other);
@@ -181,8 +168,7 @@ class PointStore {
   /// tests pinning the dirty-tail fast path.
   size_t cached_plane_rows() const { return double_rows_; }
 
-  /// out[i] = (*this)[i].ContentHash(salt); bit-identical to the per-Point
-  /// ContentHashMany.
+  /// out[i] = (*this)[i].ContentHash(salt).
   void ContentHashMany(uint64_t salt, uint64_t* out) const;
 
   /// True iff every coordinate of every row lies in [0, delta].
@@ -200,27 +186,24 @@ class PointStore {
     }
   }
 
-  /// Sorts rows lexicographically — the multiset ordering is identical to
-  /// std::sort on the equivalent PointSet.
+  /// Sorts rows lexicographically (PointRef::operator<).
   void SortLex();
   /// SortLex, then removes adjacent duplicate rows (set semantics).
   void SortLexAndDedup();
 
-  /// Conversions to/from the legacy representation.
-  Point MakePoint(size_t i) const { return (*this)[i].ToPoint(); }
+  /// Report output rows: row i, or every row in order, as owning Points.
+  Point MakePoint(size_t i) const {
+    return Point(std::vector<Coord>(row(i), row(i) + dim_));
+  }
   PointSet ToPointSet() const;
-  static PointStore FromPointSet(size_t dim, const PointSet& points);
-  /// Adopts the first point's dimension; an empty set yields an empty,
-  /// dimensionless store.
-  static PointStore FromPointSet(const PointSet& points);
 
-  /// Serialization. WritePointTo emits row i exactly like Point::WriteTo;
-  /// WriteTo emits all rows back to back (callers prepend their own count,
-  /// as they did with per-Point loops). ReadFrom consumes `count` points
-  /// written in that format; dimension mismatches, corrupt bytes or a count
-  /// the remaining bytes cannot hold poison the reader (checked by the
-  /// caller's FinishAndCheckConsumed/status), and the reservation is bounded
-  /// by the bytes present, never by the count alone.
+  /// Serialization. WritePointTo emits row i as PointRef::WriteTo does;
+  /// WriteTo emits all rows back to back (callers prepend their own count).
+  /// ReadFrom consumes `count` points written in that format; dimension
+  /// mismatches, corrupt bytes or a count the remaining bytes cannot hold
+  /// poison the reader (checked by the caller's FinishAndCheckConsumed/
+  /// status), and the reservation is bounded by the bytes present, never by
+  /// the count alone.
   void WritePointTo(ByteWriter* w, size_t i) const;
   void WriteTo(ByteWriter* w) const;
   static PointStore ReadFrom(ByteReader* r, size_t dim, size_t count);
@@ -238,8 +221,7 @@ class PointStore {
 };
 
 /// CHECK-fails unless the store has dimension `dim` and all coordinates lie
-/// in [0, delta]^d — the store-native twin of ValidatePointSet (both rest on
-/// the same row predicate, so the two paths cannot drift).
+/// in [0, delta]^d.
 void ValidatePointStore(const PointStore& store, size_t dim, Coord delta);
 
 }  // namespace rsr

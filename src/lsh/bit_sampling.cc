@@ -13,7 +13,7 @@ class BitSamplingFunction : public LshFunction {
   // index < 0 encodes the constant-0 function.
   explicit BitSamplingFunction(int64_t index) : index_(index) {}
 
-  uint64_t Eval(const Point& x) const override {
+  uint64_t Eval(PointRef x) const override {
     if (index_ < 0) return 0;
     return static_cast<uint64_t>(x[static_cast<size_t>(index_)]);
   }

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "geometry/metric.h"
-#include "geometry/point.h"
+#include "geometry/point_store.h"
 #include "util/random.h"
 
 namespace rsr {
@@ -50,7 +50,7 @@ struct MlshParams {
 class LshFunction {
  public:
   virtual ~LshFunction() = default;
-  virtual uint64_t Eval(const Point& x) const = 0;
+  virtual uint64_t Eval(PointRef x) const = 0;
 
   /// Selects the batch entry: true for families whose arithmetic starts
   /// from double coordinates (grid, one-sided grid, 2-stable), which

@@ -14,7 +14,7 @@ class OneSidedGridFunction : public LshFunction {
   OneSidedGridFunction(std::vector<double> offsets, double w, uint64_t salt)
       : offsets_(std::move(offsets)), w_(w), salt_(salt) {}
 
-  uint64_t Eval(const Point& x) const override {
+  uint64_t Eval(PointRef x) const override {
     RSR_DCHECK(x.dim() == offsets_.size());
     uint64_t h = salt_;
     for (size_t j = 0; j < offsets_.size(); ++j) {

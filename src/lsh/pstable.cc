@@ -15,7 +15,7 @@ class PStableFunction : public LshFunction {
   PStableFunction(std::vector<double> direction, double offset, double w)
       : direction_(std::move(direction)), offset_(offset), w_(w) {}
 
-  uint64_t Eval(const Point& x) const override {
+  uint64_t Eval(PointRef x) const override {
     RSR_DCHECK(x.dim() == direction_.size());
     double dot = offset_;
     for (size_t j = 0; j < direction_.size(); ++j) {

@@ -1,6 +1,7 @@
 #include "setsets/reconciler.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,15 +14,34 @@ namespace rsr {
 
 namespace {
 
-void WriteSet(ByteWriter* w, const SlottedSet& set) {
-  for (uint32_t v : set) w->PutU32(v);
-}
+/// Ships Bob's sets `bob_sets[picks[i]]` verbatim as one B->A message: a
+/// varint count unless `counted` is false (Alice already knows it), then
+/// each set's slots as u32 values. Alice parses the message into *out
+/// (appended); a count the bytes present cannot hold poisons the reader
+/// before anything is reserved.
+Status ShipSets(const std::vector<SlottedSet>& bob_sets,
+                const std::vector<size_t>& picks, bool counted, size_t slots,
+                const char* label, Transcript* transcript,
+                std::vector<SlottedSet>* out) {
+  ByteWriter msg;
+  if (counted) msg.PutVarint64(picks.size());
+  for (size_t index : picks) {
+    for (uint32_t v : bob_sets[index]) msg.PutU32(v);
+  }
+  transcript->Send(label, msg);
 
-SlottedSet ReadSet(ByteReader* r, size_t slots) {
-  SlottedSet set(slots);
-  // RSR_LINT_OK(reader-check): sticky poison checked by callers' r->status().
-  for (auto& v : set) v = r->GetU32();
-  return set;
+  ByteReader reader(msg.buffer());
+  const uint64_t count = counted ? reader.GetVarint64() : picks.size();
+  if (count > reader.remaining() / (slots * sizeof(uint32_t))) {
+    reader.Invalidate();
+    return reader.status();
+  }
+  out->reserve(out->size() + count);
+  for (uint64_t i = 0; i < count; ++i) {
+    SlottedSet& set = out->emplace_back(slots);
+    for (uint32_t& v : set) v = reader.GetU32();
+  }
+  return reader.FinishAndCheckConsumed();
 }
 
 /// Occurrence-salted element words for the elements of a collection of sets,
@@ -128,8 +148,9 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
   const uint64_t salt = params.seed;
   const WireCodec codec = params.codec;
 
+  std::vector<size_t> alice_order;
   std::vector<uint64_t> alice_salted =
-      CanonicalSaltedSignatures(alice_sets, salt, nullptr);
+      CanonicalSaltedSignatures(alice_sets, salt, &alice_order);
   std::vector<size_t> bob_order;
   std::vector<uint64_t> bob_salted =
       CanonicalSaltedSignatures(bob_sets, salt, &bob_order);
@@ -177,8 +198,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     sig_params.seed = HashCombine(salt, 0x516'0000u + static_cast<uint32_t>(attempt));
 
     Iblt bob_table(sig_params);
-    bob_table.UpdateManySharded(bob_salted, +1, params.sketch_shards,
-                                params.num_threads);
+    bob_table.UpdateMany(bob_salted, +1);
     ByteWriter msg1;
     // Without the adaptive estimator round, this is the exchange's first
     // message — a compact exchange writes its versioned header here (once;
@@ -210,8 +230,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     (void)bob_count;
     RSR_ASSIGN_OR_RETURN(Iblt alice_view,
                          Iblt::ReadFrom(&reader, parsed_sig_params, codec));
-    alice_view.UpdateManySharded(alice_salted, -1, params.sketch_shards,
-                                 params.num_threads);
+    alice_view.UpdateMany(alice_salted, -1);
     IbltDecodeResult decoded = alice_view.Decode();
     if (decoded.complete) {
       for (const IbltEntry& e : decoded.entries) {
@@ -238,17 +257,11 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
 
   if (!sig_decoded) {
     // Full-transfer fallback: Bob ships everything.
-    ByteWriter msg;
-    msg.PutVarint64(bob_sets.size());
-    for (const auto& s : bob_sets) WriteSet(&msg, s);
-    transcript.Send("B->A full-transfer", msg);
-    ByteReader reader(msg.buffer());
-    uint64_t count = reader.GetVarint64();
-    report.bob_sets.clear();
-    for (uint64_t i = 0; i < count; ++i) {
-      report.bob_sets.push_back(ReadSet(&reader, slots));
-    }
-    RSR_RETURN_NOT_OK(reader.status());
+    std::vector<size_t> all(bob_sets.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    RSR_RETURN_NOT_OK(ShipSets(bob_sets, all, /*counted=*/true, slots,
+                               "B->A full-transfer", &transcript,
+                               &report.bob_sets));
     report.full_transfer = true;
     report.comm = transcript.stats();
     return report;
@@ -292,12 +305,9 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
   for (uint64_t sig : alice_only_sigs) alice_only_multiset[sig]++;
   std::vector<SlottedSet> alice_diff_sets;
   {
-    std::vector<size_t> alice_order;
-    std::vector<uint64_t> salted =
-        CanonicalSaltedSignatures(alice_sets, salt, &alice_order);
     auto remaining = alice_only_multiset;
-    for (size_t pos = 0; pos < salted.size(); ++pos) {
-      auto it = remaining.find(salted[pos]);
+    for (size_t pos = 0; pos < alice_salted.size(); ++pos) {
+      auto it = remaining.find(alice_salted[pos]);
       if (it != remaining.end() && it->second > 0) {
         --it->second;
         alice_diff_sets.push_back(alice_sets[alice_order[pos]]);
@@ -309,16 +319,8 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
 
   if (params.mode == SetsReconcilerMode::kVerbatim) {
     // ---- Phase 3 (verbatim): Bob ships the requested sets. ----
-    ByteWriter msg3;
-    msg3.PutVarint64(requested.size());
-    for (size_t index : requested) WriteSet(&msg3, bob_sets[index]);
-    transcript.Send("B->A diff-sets", msg3);
-    ByteReader reader(msg3.buffer());
-    uint64_t count = reader.GetVarint64();
-    for (uint64_t i = 0; i < count; ++i) {
-      recovered.push_back(ReadSet(&reader, slots));
-    }
-    RSR_RETURN_NOT_OK(reader.status());
+    RSR_RETURN_NOT_OK(ShipSets(bob_sets, requested, /*counted=*/true, slots,
+                               "B->A diff-sets", &transcript, &recovered));
   } else {
     // ---- Phase 3 (fingerprint): element IBLT + per-set fingerprints. ----
     std::vector<SlottedSet> bob_diff_sets;
@@ -341,8 +343,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       elem_params.seed = HashCombine(salt, 0xe1e'0000u + static_cast<uint32_t>(attempt));
 
       Iblt elem_table(elem_params);
-      elem_table.UpdateManySharded(bob_words, +1, params.sketch_shards,
-                                   params.num_threads);
+      elem_table.UpdateMany(bob_words, +1);
       ByteWriter msg3;
       elem_table.WriteTo(&msg3, codec);
       // Per-set records: unsalted signature + per-slot fingerprints.
@@ -364,8 +365,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       ByteReader reader(msg3.buffer());
       RSR_ASSIGN_OR_RETURN(Iblt alice_view,
                            Iblt::ReadFrom(&reader, elem_params, codec));
-      alice_view.UpdateManySharded(alice_words, -1, params.sketch_shards,
-                                   params.num_threads);
+      alice_view.UpdateMany(alice_words, -1);
       IbltDecodeResult decoded = alice_view.Decode();
 
       std::vector<SetRecord> records(bob_diff_sets.size());
@@ -445,42 +445,30 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
         msg4.PutVarint64(failed.size());
         for (size_t i : failed) msg4.PutVarint64(i);
         transcript.Send("A->B fallback-request", msg4);
-        ByteWriter msg5;
-        for (size_t i : failed) WriteSet(&msg5, bob_diff_sets[i]);
-        transcript.Send("B->A fallback-sets", msg5);
-        ByteReader fb(msg5.buffer());
-        for (size_t i = 0; i < failed.size(); ++i) {
-          recovered.push_back(ReadSet(&fb, slots));
-        }
-        RSR_RETURN_NOT_OK(fb.status());
+        std::vector<size_t> picks;
+        picks.reserve(failed.size());
+        for (size_t i : failed) picks.push_back(requested[i]);
+        RSR_RETURN_NOT_OK(ShipSets(bob_sets, picks, /*counted=*/false, slots,
+                                   "B->A fallback-sets", &transcript,
+                                   &recovered));
       }
       break;
     }
 
     if (!elem_decoded) {
       // Element phase never decoded: verbatim fallback for all requested.
-      ByteWriter msg;
-      msg.PutVarint64(bob_diff_sets.size());
-      for (const auto& s : bob_diff_sets) WriteSet(&msg, s);
-      transcript.Send("B->A diff-sets(fallback)", msg);
-      ByteReader reader(msg.buffer());
-      uint64_t count = reader.GetVarint64();
-      for (uint64_t i = 0; i < count; ++i) {
-        recovered.push_back(ReadSet(&reader, slots));
-      }
-      RSR_RETURN_NOT_OK(reader.status());
+      RSR_RETURN_NOT_OK(ShipSets(bob_sets, requested, /*counted=*/true, slots,
+                                 "B->A diff-sets(fallback)", &transcript,
+                                 &recovered));
       report.fallback_sets = bob_diff_sets.size();
     }
   }
 
   // ---- Assemble Bob's multiset: (Alice's sets minus Alice-only) + diff. ----
   {
-    std::vector<size_t> alice_order;
-    std::vector<uint64_t> salted =
-        CanonicalSaltedSignatures(alice_sets, salt, &alice_order);
     auto remaining = alice_only_multiset;
-    for (size_t pos = 0; pos < salted.size(); ++pos) {
-      auto it = remaining.find(salted[pos]);
+    for (size_t pos = 0; pos < alice_salted.size(); ++pos) {
+      auto it = remaining.find(alice_salted[pos]);
       if (it != remaining.end() && it->second > 0) {
         --it->second;
         continue;  // Bob lacks this one

@@ -75,14 +75,6 @@ struct SetsReconcilerParams {
   /// first sig-IBLT message; the doubling retries then proceed from that
   /// size, so correctness is unchanged. Default OFF.
   AdaptiveSizingParams adaptive;
-  /// Intra-table shards for the signature/element IBLT builds (<= 1 = classic
-  /// sequential insert; see Iblt::UpdateManySharded). Byte-identical wire
-  /// output for every value; > 1 keeps cell writes cache-local on large
-  /// tables and enables intra-table parallelism.
-  size_t sketch_shards = 1;
-  /// Worker threads for the sharded build (<= 1 = inline). No effect on the
-  /// transcript.
-  size_t num_threads = 1;
   /// Wire codec for the exchange (util/wire.h): the first message — the
   /// adaptive estimator when enabled, otherwise Bob's first sig-IBLT —
   /// carries the versioned header under kCompact; IBLTs are codec-dispatched

@@ -47,8 +47,7 @@ DistanceSensitiveBloomFilter::DistanceSensitiveBloomFilter(
   }
 }
 
-size_t DistanceSensitiveBloomFilter::BitIndex(size_t bank,
-                                              const Point& p) const {
+size_t DistanceSensitiveBloomFilter::BitIndex(size_t bank, PointRef p) const {
   uint64_t h = mix_salts_[bank];
   for (size_t j = 0; j < params_.hashes_per_bank; ++j) {
     h = HashCombine(h,
@@ -57,7 +56,7 @@ size_t DistanceSensitiveBloomFilter::BitIndex(size_t bank,
   return static_cast<size_t>(h % params_.bits_per_bank);
 }
 
-void DistanceSensitiveBloomFilter::Insert(const Point& p) {
+void DistanceSensitiveBloomFilter::Insert(PointRef p) {
   for (size_t bank = 0; bank < params_.num_banks; ++bank) {
     size_t idx = BitIndex(bank, p);
     banks_[bank][idx / 8] |= static_cast<uint8_t>(1u << (idx % 8));
@@ -79,7 +78,7 @@ void DistanceSensitiveBloomFilter::InsertMany(const PointStore& points) {
   }
 }
 
-double DistanceSensitiveBloomFilter::VoteFraction(const Point& p) const {
+double DistanceSensitiveBloomFilter::VoteFraction(PointRef p) const {
   size_t hits = 0;
   for (size_t bank = 0; bank < params_.num_banks; ++bank) {
     size_t idx = BitIndex(bank, p);
@@ -88,7 +87,7 @@ double DistanceSensitiveBloomFilter::VoteFraction(const Point& p) const {
   return static_cast<double>(hits) / static_cast<double>(params_.num_banks);
 }
 
-bool DistanceSensitiveBloomFilter::QueryNear(const Point& p) const {
+bool DistanceSensitiveBloomFilter::QueryNear(PointRef p) const {
   return VoteFraction(p) >= threshold_;
 }
 

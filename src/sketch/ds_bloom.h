@@ -54,7 +54,7 @@ class DistanceSensitiveBloomFilter {
   DistanceSensitiveBloomFilter(const LshFamily& family, LshParams lsh,
                                const DsBloomParams& params);
 
-  void Insert(const Point& p);
+  void Insert(PointRef p);
 
   /// Store-native batch insert via the function-major LSH pipeline: per
   /// (bank, draw) one batch evaluation over the whole set instead of a
@@ -64,10 +64,10 @@ class DistanceSensitiveBloomFilter {
   void InsertMany(const PointStore& points);
 
   /// Fraction of banks whose addressed bit is set for p.
-  double VoteFraction(const Point& p) const;
+  double VoteFraction(PointRef p) const;
 
   /// VoteFraction(p) >= threshold.
-  bool QueryNear(const Point& p) const;
+  bool QueryNear(PointRef p) const;
 
   double threshold() const { return threshold_; }
   size_t size_bits() const {
@@ -75,7 +75,7 @@ class DistanceSensitiveBloomFilter {
   }
 
  private:
-  size_t BitIndex(size_t bank, const Point& p) const;
+  size_t BitIndex(size_t bank, PointRef p) const;
 
   DsBloomParams params_;
   double threshold_;

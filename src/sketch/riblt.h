@@ -34,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "geometry/point.h"
 #include "geometry/point_store.h"
 #include "sketch/cell_table.h"
 #include "util/random.h"

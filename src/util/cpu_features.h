@@ -38,8 +38,8 @@ bool CpuSupportsAvx2();
 bool ForceScalarKernels();
 
 /// Human-readable summary of the probed instruction-set extensions, e.g.
-/// "sse2 sse4.2 avx avx2 fma" — recorded in BENCH_micro.json metadata so
-/// baseline comparisons across machines are interpretable.
+/// "sse2 sse4.2 avx avx2 fma" — recorded in bench_micro's JSON context so
+/// the host behind a run is identifiable.
 std::string CpuFeatureString();
 
 }  // namespace rsr

@@ -9,10 +9,19 @@
 #include "core/naive.h"
 #include "core/quadtree_baseline.h"
 #include "emd/emd.h"
+#include "test_points.h"
 #include "workload/generators.h"
 
 namespace rsr {
 namespace {
+
+using ::rsr::testing::StoreOf;
+
+/// `set` in lexicographic order (a report's output multiset, canonicalized).
+PointSet Sorted(PointSet set) {
+  std::sort(set.begin(), set.end());
+  return set;
+}
 
 // ------------------------------------------------------------- quadtree --
 
@@ -129,36 +138,40 @@ TEST(NaiveTest, UnionModeKeepsBob) {
   PointStore a = GenerateUniformStore(4, 2, 15, &rng);
   PointStore b = GenerateUniformStore(5, 2, 15, &rng);
   NaiveReport report = RunNaiveFullTransfer(a, b, /*union_mode=*/true);
-  EXPECT_EQ(report.s_b_prime.size(), 9u);
+  PointStore want = b;
+  want.AppendStore(a);
+  EXPECT_EQ(report.s_b_prime, want.ToPointSet());
+}
+
+TEST(NaiveTest, EmptyAliceShipsOnlyTheCount) {
+  Rng rng(14);
+  PointStore b = GenerateUniformStore(5, 2, 15, &rng);
+  NaiveReport replaced = RunNaiveFullTransfer(PointStore(), b, false);
+  EXPECT_TRUE(replaced.s_b_prime.empty());
+  EXPECT_EQ(replaced.comm.total_bytes(), 1u);
+  NaiveReport unioned = RunNaiveFullTransfer(PointStore(), b, true);
+  EXPECT_EQ(unioned.s_b_prime, b.ToPointSet());
 }
 
 // ------------------------------------------------------------ exact IBLT --
 
 TEST(ExactReconTest, RecoversExactDifferences) {
   Rng rng(5);
-  PointSet shared = GenerateUniform(60, 2, 255, &rng);
-  PointSet alice = shared, bob = shared;
-  PointSet alice_extra = GenerateUniform(3, 2, 255, &rng);
-  PointSet bob_extra = GenerateUniform(3, 2, 255, &rng);
-  for (const auto& p : alice_extra) alice.push_back(p);
-  for (const auto& p : bob_extra) bob.push_back(p);
+  PointStore alice = GenerateUniformStore(60, 2, 255, &rng);
+  PointStore bob = alice;
+  GenerateUniformInto(3, 2, 255, &rng, &alice);
+  GenerateUniformInto(3, 2, 255, &rng, &bob);
 
   ExactReconParams params;
   params.dim = 2;
   params.delta = 255;
   params.num_cells = 32;
   params.seed = 6;
-  auto report = RunExactIbltReconciliation(PointStore::FromPointSet(alice),
-                                           PointStore::FromPointSet(bob),
-                                           params);
+  auto report = RunExactIbltReconciliation(alice, bob, params);
   ASSERT_TRUE(report.ok());
   ASSERT_FALSE(report->failure);
   EXPECT_EQ(report->diff_size, 6u);
-  PointSet got = report->s_b_prime;
-  PointSet want = alice;
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(Sorted(report->s_b_prime), Sorted(alice.ToPointSet()));
 }
 
 TEST(ExactReconTest, NoisyPointsAllCountAsDifferences) {
@@ -202,25 +215,17 @@ TEST(ExactReconTest, UndersizedTableReportsFailure) {
 }
 
 TEST(ExactReconTest, DuplicatePointsHandledViaSalting) {
-  PointSet alice = {Point({std::vector<Coord>{1, 1}}),
-                    Point({std::vector<Coord>{1, 1}}),
-                    Point({std::vector<Coord>{2, 2}})};
-  PointSet bob = {Point({std::vector<Coord>{1, 1}})};
+  PointStore alice = StoreOf(2, {{1, 1}, {1, 1}, {2, 2}});
+  PointStore bob = StoreOf(2, {{1, 1}});
   ExactReconParams params;
   params.dim = 2;
   params.delta = 10;
   params.num_cells = 32;
   params.seed = 11;
-  auto report = RunExactIbltReconciliation(PointStore::FromPointSet(alice),
-                                           PointStore::FromPointSet(bob),
-                                           params);
+  auto report = RunExactIbltReconciliation(alice, bob, params);
   ASSERT_TRUE(report.ok());
   ASSERT_FALSE(report->failure);
-  PointSet got = report->s_b_prime;
-  std::sort(got.begin(), got.end());
-  PointSet want = alice;
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(Sorted(report->s_b_prime), Sorted(alice.ToPointSet()));
 }
 
 // ------------------------------------------------------- lower bound F --

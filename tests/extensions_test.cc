@@ -188,23 +188,24 @@ TEST_F(DsBloomTest, RecommendedAmplificationSeparatesRates) {
 TEST_F(DsBloomTest, InsertedPointsAlwaysNear) {
   DistanceSensitiveBloomFilter filter(family_, lsh_, SetParams(31));
   Rng rng(32);
-  PointSet points = GenerateUniform(kSetSize, 64, 1, &rng);
-  for (const Point& p : points) filter.Insert(p);
-  for (const Point& p : points) {
-    EXPECT_EQ(filter.VoteFraction(p), 1.0);
-    EXPECT_TRUE(filter.QueryNear(p));
+  PointStore points = GenerateUniformStore(kSetSize, 64, 1, &rng);
+  for (size_t i = 0; i < points.size(); ++i) filter.Insert(points[i]);
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(filter.VoteFraction(points[i]), 1.0);
+    EXPECT_TRUE(filter.QueryNear(points[i]));
   }
 }
 
 TEST_F(DsBloomTest, ClosePointsUsuallyNear) {
   DistanceSensitiveBloomFilter filter(family_, lsh_, SetParams(33));
   Rng rng(34);
-  PointSet points = GenerateUniform(kSetSize, 64, 1, &rng);
-  for (const Point& p : points) filter.Insert(p);
+  PointStore points = GenerateUniformStore(kSetSize, 64, 1, &rng);
+  for (size_t i = 0; i < points.size(); ++i) filter.Insert(points[i]);
   int near = 0;
-  for (const Point& p : points) {
-    Point q = PerturbPoint(p, MetricKind::kHamming, 2, 1, &rng);
-    near += filter.QueryNear(q);
+  Coord q[64];
+  for (size_t i = 0; i < points.size(); ++i) {
+    PerturbRowInto(points.row(i), 64, MetricKind::kHamming, 2, 1, &rng, q);
+    near += filter.QueryNear(PointRef(q, 64));
   }
   EXPECT_GE(near, 36);  // >= 90%
 }
@@ -212,23 +213,23 @@ TEST_F(DsBloomTest, ClosePointsUsuallyNear) {
 TEST_F(DsBloomTest, FarPointsUsuallyRejected) {
   DistanceSensitiveBloomFilter filter(family_, lsh_, SetParams(35));
   Rng rng(36);
-  PointSet points = GenerateUniform(kSetSize, 64, 1, &rng);
-  for (const Point& p : points) filter.Insert(p);
+  PointStore points = GenerateUniformStore(kSetSize, 64, 1, &rng);
+  for (size_t i = 0; i < points.size(); ++i) filter.Insert(points[i]);
   // Probes at Hamming distance >= r2 from every inserted point.
   int accepted = 0, probes = 0, attempts = 0;
   while (probes < 30 && attempts < 20000) {
     ++attempts;
-    Point q = GenerateUniform(1, 64, 1, &rng)[0];
+    PointStore q = GenerateUniformStore(1, 64, 1, &rng);
     bool far = true;
-    for (const Point& p : points) {
-      if (HammingDistance(p, q) < 26) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (HammingDistance(points.row(i), q.row(0), 64) < 26) {
         far = false;
         break;
       }
     }
     if (!far) continue;
     ++probes;
-    accepted += filter.QueryNear(q);
+    accepted += filter.QueryNear(q[0]);
   }
   ASSERT_GE(probes, 10);
   EXPECT_LE(accepted, probes / 4);
@@ -242,12 +243,12 @@ TEST_F(DsBloomTest, AmplificationSharpensSeparation) {
   DistanceSensitiveBloomFilter f1(family_, lsh_, g1);
   DistanceSensitiveBloomFilter f2(family_, lsh_, g2);
   Rng rng(38);
-  Point p = GenerateUniform(1, 64, 1, &rng)[0];
-  f1.Insert(p);
-  f2.Insert(p);
-  std::vector<Coord> far_coords = p.coords();
+  PointStore p = GenerateUniformStore(1, 64, 1, &rng);
+  f1.Insert(p[0]);
+  f2.Insert(p[0]);
+  std::vector<Coord> far_coords(p.row(0), p.row(0) + 64);
   for (size_t i = 0; i < 40; ++i) far_coords[i] = 1 - far_coords[i];
-  Point far(std::move(far_coords));
+  const PointRef far(far_coords.data(), 64);
   EXPECT_LE(f2.VoteFraction(far), f1.VoteFraction(far));
   EXPECT_LT(f2.threshold(), f1.threshold());
 }

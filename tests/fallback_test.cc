@@ -112,6 +112,35 @@ TEST(FallbackTest, ElementSketchRetriesThenSucceeds) {
   EXPECT_TRUE(SameMultiset(report->bob_sets, bob));
 }
 
+TEST(FallbackTest, UndecodedElementSketchShipsRequestedSetsVerbatim) {
+  // One element-sketch attempt that cannot decode: Bob ships every requested
+  // set verbatim in one extra message, and Alice still ends exact.
+  Rng rng(10);
+  auto alice = RandomSets(60, 16, &rng);
+  std::vector<SlottedSet> bob = alice;
+  for (size_t i = 0; i < 30; ++i) {
+    for (int edits = 0; edits < 4; ++edits) {
+      bob[i][rng.Below(16)] = static_cast<uint32_t>(rng.Below(1u << 30));
+    }
+  }
+  SetsReconcilerParams params;
+  params.mode = SetsReconcilerMode::kFingerprint;
+  params.sig_cells = 256;
+  params.elem_cells = 8;
+  params.max_attempts = 1;
+  params.seed = 11;
+  auto report = ReconcileSetsOfSets(alice, bob, params);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->elem_attempts, 1);
+  EXPECT_EQ(report->fallback_sets, report->diff_sets_bob);
+  ASSERT_FALSE(report->comm.messages.empty());
+  const MessageRecord& last = report->comm.messages.back();
+  EXPECT_EQ(last.label, "B->A diff-sets(fallback)");
+  // A count varint, then 16 u32 slots per shipped set.
+  EXPECT_EQ(last.bytes, 1 + report->diff_sets_bob * 16 * 4);
+  EXPECT_TRUE(SameMultiset(report->bob_sets, bob));
+}
+
 TEST(FallbackTest, GapProtocolSurvivesTinySketchHints) {
   // End-to-end: a user-misconfigured reconciler (absurdly small initial
   // sketches) must still yield a correct Gap outcome, just more rounds.

@@ -511,7 +511,8 @@ void ExpectTranscriptPin(const GapProtocolReport& report,
                          const GapTranscriptPin& pin) {
   uint64_t hash = 0;
   for (const Point& p : report.transmitted) {
-    hash = HashCombine(hash, p.ContentHash(0x9a9));
+    hash = HashCombine(hash, PointRef(p.coords().data(), p.dim())
+                                 .ContentHash(0x9a9));
   }
   std::vector<std::pair<std::string, size_t>> messages;
   for (const MessageRecord& m : report.comm.messages) {

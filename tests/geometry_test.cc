@@ -1,4 +1,4 @@
-// Unit and property tests for geometry/: Point, metrics, BitVec.
+// Unit and property tests for geometry/: Point, PointRef, metrics, BitVec.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -6,12 +6,16 @@
 #include "geometry/bitvec.h"
 #include "geometry/metric.h"
 #include "geometry/point.h"
+#include "geometry/point_store.h"
+#include "test_points.h"
 #include "util/random.h"
 #include "util/serialize.h"
 #include "workload/generators.h"
 
 namespace rsr {
 namespace {
+
+using ::rsr::testing::StoreOf;
 
 // ---------------------------------------------------------------- Point --
 
@@ -20,12 +24,6 @@ TEST(PointTest, BasicAccessors) {
   EXPECT_EQ(p.dim(), 3u);
   EXPECT_EQ(p[0], 1);
   EXPECT_EQ(p[2], 3);
-}
-
-TEST(PointTest, ZeroFactory) {
-  Point p = Point::Zero(4);
-  EXPECT_EQ(p.dim(), 4u);
-  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(p[i], 0);
 }
 
 TEST(PointTest, EqualityAndOrdering) {
@@ -37,64 +35,65 @@ TEST(PointTest, EqualityAndOrdering) {
   EXPECT_LT(a, c);
 }
 
-TEST(PointTest, InDomain) {
-  Point p(std::vector<Coord>{0, 5, 10});
-  EXPECT_TRUE(p.InDomain(10));
-  EXPECT_FALSE(p.InDomain(9));
-  Point neg(std::vector<Coord>{-1});
-  EXPECT_FALSE(neg.InDomain(10));
+// ------------------------------------------------------------- PointRef --
+
+TEST(PointRefTest, InDomain) {
+  PointStore rows = StoreOf(3, {{0, 5, 10}, {-1, 0, 0}});
+  EXPECT_TRUE(rows[0].InDomain(10));
+  EXPECT_FALSE(rows[0].InDomain(9));
+  EXPECT_FALSE(rows[1].InDomain(10));
 }
 
-TEST(PointTest, ContentHashStableAndSaltSensitive) {
-  Point p(std::vector<Coord>{4, 5});
-  EXPECT_EQ(p.ContentHash(1), p.ContentHash(1));
-  EXPECT_NE(p.ContentHash(1), p.ContentHash(2));
-  Point q(std::vector<Coord>{5, 4});
-  EXPECT_NE(p.ContentHash(1), q.ContentHash(1));
+TEST(PointRefTest, ContentHashStableAndSaltSensitive) {
+  PointStore rows = StoreOf(2, {{4, 5}, {5, 4}});
+  EXPECT_EQ(rows[0].ContentHash(1), rows[0].ContentHash(1));
+  EXPECT_NE(rows[0].ContentHash(1), rows[0].ContentHash(2));
+  EXPECT_NE(rows[0].ContentHash(1), rows[1].ContentHash(1));
 }
 
-TEST(PointTest, SerializationRoundTrip) {
-  Point p(std::vector<Coord>{0, 7, -0 + 123456, 3});
+TEST(PointRefTest, SerializationRoundTrip) {
+  PointStore rows = StoreOf(4, {{0, 7, 123456, 3}});
   ByteWriter w;
-  p.WriteTo(&w);
+  rows[0].WriteTo(&w);
   ByteReader r(w.buffer());
-  Point q = Point::ReadFrom(&r);
+  PointStore parsed = PointStore::ReadFrom(&r, 4, 1);
   EXPECT_TRUE(r.FinishAndCheckConsumed().ok());
-  EXPECT_EQ(p, q);
+  EXPECT_EQ(parsed, rows);
 }
 
-TEST(PointTest, ToStringReadable) {
-  Point p(std::vector<Coord>{1, 2});
-  EXPECT_EQ(p.ToString(), "(1,2)");
+TEST(PointRefTest, ToStringReadable) {
+  PointStore rows = StoreOf(2, {{1, 2}});
+  EXPECT_EQ(rows[0].ToString(), "(1,2)");
 }
 
 // -------------------------------------------------------------- Metrics --
 
 TEST(MetricTest, HammingBasics) {
-  Point a(std::vector<Coord>{0, 1, 0, 1});
-  Point b(std::vector<Coord>{0, 1, 1, 0});
-  EXPECT_EQ(HammingDistance(a, b), 2.0);
-  EXPECT_EQ(HammingDistance(a, a), 0.0);
+  PointStore rows = StoreOf(4, {{0, 1, 0, 1}, {0, 1, 1, 0}});
+  EXPECT_EQ(HammingDistance(rows.row(0), rows.row(1), 4), 2.0);
+  EXPECT_EQ(HammingDistance(rows.row(0), rows.row(0), 4), 0.0);
 }
 
 TEST(MetricTest, L1Basics) {
-  Point a(std::vector<Coord>{0, 0});
-  Point b(std::vector<Coord>{3, -4 + 8});
-  EXPECT_EQ(L1Distance(a, b), 7.0);
+  PointStore rows = StoreOf(2, {{0, 0}, {3, -4 + 8}});
+  EXPECT_EQ(L1Distance(rows.row(0), rows.row(1), 2), 7.0);
 }
 
 TEST(MetricTest, L2Basics) {
-  Point a(std::vector<Coord>{0, 0});
-  Point b(std::vector<Coord>{3, 4});
-  EXPECT_DOUBLE_EQ(L2Distance(a, b), 5.0);
+  PointStore rows = StoreOf(2, {{0, 0}, {3, 4}});
+  EXPECT_DOUBLE_EQ(L2Distance(rows.row(0), rows.row(1), 2), 5.0);
 }
 
 TEST(MetricTest, DispatcherMatchesDirectFunctions) {
-  Point a(std::vector<Coord>{1, 2, 3});
-  Point b(std::vector<Coord>{3, 2, 1});
-  EXPECT_EQ(Metric(MetricKind::kHamming).Distance(a, b), HammingDistance(a, b));
-  EXPECT_EQ(Metric(MetricKind::kL1).Distance(a, b), L1Distance(a, b));
-  EXPECT_EQ(Metric(MetricKind::kL2).Distance(a, b), L2Distance(a, b));
+  PointStore rows = StoreOf(3, {{1, 2, 3}, {3, 2, 1}});
+  const Coord* a = rows.row(0);
+  const Coord* b = rows.row(1);
+  EXPECT_EQ(Metric(MetricKind::kHamming).Distance(rows[0], rows[1]),
+            HammingDistance(a, b, 3));
+  EXPECT_EQ(Metric(MetricKind::kL1).Distance(rows[0], rows[1]),
+            L1Distance(a, b, 3));
+  EXPECT_EQ(Metric(MetricKind::kL2).Distance(rows[0], rows[1]),
+            L2Distance(a, b, 3));
 }
 
 TEST(MetricTest, Diameters) {
@@ -116,8 +115,8 @@ TEST_P(MetricAxiomsTest, SymmetryIdentityTriangle) {
   Metric metric(GetParam());
   Rng rng(42);
   for (int trial = 0; trial < 300; ++trial) {
-    PointSet pts = GenerateUniform(3, 6, 50, &rng);
-    const Point &x = pts[0], &y = pts[1], &z = pts[2];
+    PointStore pts = GenerateUniformStore(3, 6, 50, &rng);
+    const PointRef x = pts[0], y = pts[1], z = pts[2];
     EXPECT_DOUBLE_EQ(metric.Distance(x, y), metric.Distance(y, x));
     EXPECT_EQ(metric.Distance(x, x), 0.0);
     EXPECT_GE(metric.Distance(x, y), 0.0);
@@ -148,20 +147,16 @@ TEST(BitVecTest, DistanceMatchesPointHamming) {
   for (int trial = 0; trial < 100; ++trial) {
     size_t bits = 1 + rng.Below(200);
     BitVec a(bits), b(bits);
+    std::vector<Coord> a_row(bits), b_row(bits);
     for (size_t i = 0; i < bits; ++i) {
       a.Set(i, (rng.Next() & 1) != 0);
       b.Set(i, (rng.Next() & 1) != 0);
+      a_row[i] = a.Get(i) ? 1 : 0;
+      b_row[i] = b.Get(i) ? 1 : 0;
     }
     EXPECT_EQ(static_cast<double>(a.DistanceTo(b)),
-              HammingDistance(a.ToPoint(), b.ToPoint()));
+              HammingDistance(a_row.data(), b_row.data(), bits));
   }
-}
-
-TEST(BitVecTest, PointRoundTrip) {
-  Rng rng(8);
-  BitVec bv(77);
-  for (size_t i = 0; i < 77; ++i) bv.Set(i, (rng.Next() & 1) != 0);
-  EXPECT_EQ(BitVec::FromPoint(bv.ToPoint()), bv);
 }
 
 TEST(BitVecTest, EqualityRequiresSameLength) {

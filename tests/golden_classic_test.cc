@@ -7,6 +7,7 @@
 // layout may evolve with the header version; kClassic is the compatibility
 // floor and must stay frozen.)
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,17 @@ const char kStrataHex[] =
 const char kKeyStreamHex[] =
     "05157c4a7fb979379e2af894fe72f36e3c3f74df7d2c6da6da54f029fde5e6dd"
     "78696c747c9f601517";
+// The point wire format (dim varint, then zigzag varints) of GoldenRows(),
+// and those rows' content hashes at salts 0 and 0x5eed.
+const char kPointRowsHex[] =
+    "0300017e037f8001d80403ff887a808080808040fe0103feffffffffffffffff01"
+    "ffffffffffffffffff01fe7f";
+const uint64_t kRowContentHashes[4][2] = {
+    {0x81d1f244de3b5b74ULL, 0x46a18a8888512b83ULL},
+    {0x7907749865f0581dULL, 0x1411ad658e99412cULL},
+    {0x89601b20cedb6bccULL, 0x6e6c6f78526fd043ULL},
+    {0x6fbe102940e9a8b4ULL, 0xdb21300bcf13e4cfULL},
+};
 
 std::vector<uint8_t> FromHex(const char* hex) {
   std::string s(hex);
@@ -112,6 +124,20 @@ Riblt GoldenRiblt() {
   Riblt t(GoldenRibltParams());
   t.InsertMany(keys, s);
   return t;
+}
+
+/// Negative coordinates, one- to ten-byte zigzag varints and both int64
+/// extremes.
+PointStore GoldenRows() {
+  const Coord rows[4][3] = {
+      {0, -1, 63},
+      {-64, 64, 300},
+      {-1000000, Coord{1} << 40, 127},
+      {std::numeric_limits<Coord>::max(), std::numeric_limits<Coord>::min(),
+       8191}};
+  PointStore s(3);
+  for (const auto& row : rows) s.Append(row);
+  return s;
 }
 
 StrataParams GoldenStrataParams() {
@@ -196,6 +222,29 @@ TEST(GoldenClassicTest, KeyStreamMatchesPinnedBytes) {
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(r.FinishAndCheckConsumed().ok());
   EXPECT_EQ(*parsed, keys);  // classic preserves writer order
+}
+
+TEST(GoldenClassicTest, PointStoreWriterMatchesPinnedBytes) {
+  const PointStore rows = GoldenRows();
+  ByteWriter w;
+  rows.WriteTo(&w);
+  EXPECT_EQ(w.buffer(), FromHex(kPointRowsHex));
+
+  std::vector<uint8_t> pinned = FromHex(kPointRowsHex);
+  ByteReader r(pinned);
+  PointStore parsed = PointStore::ReadFrom(&r, 3, 4);
+  ASSERT_TRUE(r.FinishAndCheckConsumed().ok());
+  EXPECT_EQ(parsed, rows);
+}
+
+TEST(GoldenClassicTest, PointRefContentHashMatchesPinnedValues) {
+  const PointStore rows = GoldenRows();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].ContentHash(0), kRowContentHashes[i][0]) << i;
+    EXPECT_EQ(rows[i].ContentHash(0x5eed), kRowContentHashes[i][1]) << i;
+  }
+  const Coord one[1] = {7};
+  EXPECT_EQ(PointRef(one, 1).ContentHash(0x5eed), 0x04d712a0b6d2973eULL);
 }
 
 }  // namespace

@@ -204,9 +204,8 @@ TEST(IntegrationTest, TranscriptBytesArePositiveAndAdditive) {
 }
 
 TEST(IntegrationTest, StoreWorkloadDrivesWholePipelineIdentically) {
-  // End-to-end representation identity: the PointSet generators draw the
-  // same points as the store generators, and a store converted from that
-  // PointSet output must drive the multiscale EMD and Gap protocols
+  // End-to-end arena identity: a store rebuilt row by row from the
+  // generator's rows must drive the multiscale EMD and Gap protocols
   // (threads 1 and 8) byte-identically to the natively generated arena.
   // However the arena was built, it must be invisible on the wire.
   NoisyPairConfig config;
@@ -219,13 +218,17 @@ TEST(IntegrationTest, StoreWorkloadDrivesWholePipelineIdentically) {
   config.outlier_dist = 120;
   config.seed = 424242;
   auto stores = GenerateNoisyPairStore(config);
-  auto sets = GenerateNoisyPair(config);
   ASSERT_TRUE(stores.ok());
-  ASSERT_TRUE(sets.ok());
-  ASSERT_EQ(stores->alice.ToPointSet(), sets->alice);
-  ASSERT_EQ(stores->bob.ToPointSet(), sets->bob);
-  PointStore alice_converted = PointStore::FromPointSet(3, sets->alice);
-  PointStore bob_converted = PointStore::FromPointSet(3, sets->bob);
+  PointStore alice_converted(3);
+  PointStore bob_converted(3);
+  for (size_t i = 0; i < stores->alice.size(); ++i) {
+    alice_converted.Append(stores->alice[i]);
+  }
+  for (size_t i = 0; i < stores->bob.size(); ++i) {
+    bob_converted.Append(stores->bob[i]);
+  }
+  ASSERT_EQ(alice_converted, stores->alice);
+  ASSERT_EQ(bob_converted, stores->bob);
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
     MultiscaleEmdParams emd;
@@ -265,10 +268,11 @@ TEST(IntegrationTest, StoreWorkloadDrivesWholePipelineIdentically) {
     EXPECT_EQ(gap_stores->comm.total_bytes(), gap_sets->comm.total_bytes());
   }
 
-  // The evaluation oracles read either representation identically.
+  // The evaluation oracles read a store and a report's output set alike.
   Metric metric(MetricKind::kL2);
   EXPECT_EQ(EmdK(stores->alice, stores->bob, metric, 2),
-            EmdK(sets->alice, sets->bob, metric, 2));
+            EmdK(stores->alice.ToPointSet(), stores->bob.ToPointSet(), metric,
+                 2));
 }
 
 TEST(IntegrationTest, FullyDeterministicAcrossModules) {

@@ -44,7 +44,7 @@ std::vector<std::unique_ptr<LshFamily>> AllFamilies(size_t dim, Coord delta) {
 // Runs fn's one batch entry over `points` (all of dimension `dim`), writing
 // out[i * out_stride]: the flat families read column-major doubles, bit
 // sampling reads the row-major Coord arena.
-void BatchEval(const LshFunction& fn, const PointSet& points, size_t dim,
+void BatchEval(const LshFunction& fn, const PointStore& points, size_t dim,
                uint64_t* out, size_t out_stride) {
   const size_t n = points.size();
   if (fn.SupportsFlatBatch()) {
@@ -56,11 +56,7 @@ void BatchEval(const LshFunction& fn, const PointSet& points, size_t dim,
     }
     fn.EvalColsBatch(cols.data(), n, n, dim, out, out_stride);
   } else {
-    std::vector<Coord> arena(n * dim);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < dim; ++j) arena[i * dim + j] = points[i][j];
-    }
-    fn.EvalCoordBatch(arena.data(), n, dim, out, out_stride);
+    fn.EvalCoordBatch(points.coord_data(), n, dim, out, out_stride);
   }
 }
 
@@ -69,7 +65,7 @@ TEST(LshBatchTest, EvalBatchMatchesScalarForAllFamilies) {
   const Coord delta = 1023;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
-    PointSet points = GenerateUniform(129, dim, delta, &rng);
+    PointStore points = GenerateUniformStore(129, dim, delta, &rng);
     for (const auto& family : AllFamilies(dim, delta)) {
       for (int draw = 0; draw < 8; ++draw) {
         std::unique_ptr<LshFunction> fn = family->Draw(&rng);
@@ -87,7 +83,7 @@ TEST(LshBatchTest, EvalBatchMatchesScalarForAllFamilies) {
 TEST(LshBatchTest, EvalBatchHonorsStride) {
   const size_t dim = 4;
   Rng rng(11);
-  PointSet points = GenerateUniform(33, dim, 255, &rng);
+  PointStore points = GenerateUniformStore(33, dim, 255, &rng);
   for (const auto& family : AllFamilies(dim, 255)) {
     std::unique_ptr<LshFunction> fn = family->Draw(&rng);
     const size_t stride = 7;
@@ -108,7 +104,7 @@ TEST(LshBatchTest, EvalBatchHonorsStride) {
 TEST(LshBatchTest, EvalFlatBatchMatchesScalar) {
   const size_t dim = 6;
   Rng rng(51);
-  PointSet points = GenerateUniform(67, dim, 1023, &rng);
+  PointStore points = GenerateUniformStore(67, dim, 1023, &rng);
   const size_t n = points.size();
   std::vector<double> cols(dim * n);
   for (size_t i = 0; i < n; ++i) {
@@ -133,7 +129,7 @@ TEST(LshBatchTest, EvalFlatBatchMatchesScalar) {
 TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
   const size_t dim = 5;
   Rng rng(21);
-  PointSet points = GenerateUniform(97, dim, 511, &rng);
+  PointStore points = GenerateUniformStore(97, dim, 511, &rng);
   for (const auto& family : AllFamilies(dim, 511)) {
     Rng draw_rng(31);
     std::vector<std::unique_ptr<LshFunction>> functions =
@@ -146,10 +142,9 @@ TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
         reference[i][g] = functions[g]->Eval(points[i]);
       }
     }
-    PointStore store = PointStore::FromPointSet(dim, points);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       EvalMatrix matrix;
-      EvaluateAllInto(store, functions, threads, &matrix);
+      EvaluateAllInto(points, functions, threads, &matrix);
       ASSERT_EQ(matrix.rows(), points.size());
       ASSERT_EQ(matrix.cols(), functions.size());
       for (size_t i = 0; i < points.size(); ++i) {
@@ -168,8 +163,7 @@ TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
 TEST(LshBatchTest, EvaluateAllIntoMatchesScalarAtEveryBlockSize) {
   for (size_t dim : {size_t{257}, size_t{1024}, size_t{4097}}) {
     Rng rng(60 + dim);
-    PointSet points = GenerateUniform(37, dim, 1023, &rng);
-    PointStore store = PointStore::FromPointSet(dim, points);
+    PointStore points = GenerateUniformStore(37, dim, 1023, &rng);
     std::vector<std::unique_ptr<LshFamily>> families = AllFamilies(dim, 1023);
     families.pop_back();  // bit sampling reads the arena at any dim
     for (const auto& family : families) {
@@ -177,7 +171,7 @@ TEST(LshBatchTest, EvaluateAllIntoMatchesScalarAtEveryBlockSize) {
           DrawMany(*family, 5, &rng);
       for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
         EvalMatrix matrix;
-        EvaluateAllInto(store, functions, threads, &matrix);
+        EvaluateAllInto(points, functions, threads, &matrix);
         ASSERT_EQ(matrix.rows(), points.size());
         for (size_t i = 0; i < points.size(); ++i) {
           for (size_t g = 0; g < functions.size(); ++g) {
@@ -186,7 +180,7 @@ TEST(LshBatchTest, EvaluateAllIntoMatchesScalarAtEveryBlockSize) {
           }
         }
         EvalMatrix one_row;
-        EvaluateRowsInto(store, 11, 1, functions, threads, &one_row);
+        EvaluateRowsInto(points, 11, 1, functions, threads, &one_row);
         ASSERT_EQ(one_row.rows(), 1u);
         for (size_t g = 0; g < functions.size(); ++g) {
           ASSERT_EQ(one_row.at(0, g), functions[g]->Eval(points[11]))
@@ -264,9 +258,9 @@ TEST(LshBatchTest, BatchSignatureAndContentHashHelpersMatchScalar) {
     EXPECT_EQ(sigs[i], SetSignature(sets[i], 0xfeedULL));
   }
 
-  PointSet points = GenerateUniform(23, 4, 1023, &rng);
+  PointStore points = GenerateUniformStore(23, 4, 1023, &rng);
   std::vector<uint64_t> hashes(points.size());
-  ContentHashMany(points.data(), points.size(), 0xabcULL, hashes.data());
+  points.ContentHashMany(0xabcULL, hashes.data());
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(hashes[i], points[i].ContentHash(0xabcULL));
   }
@@ -287,12 +281,13 @@ TEST(LshBatchTest, DsBloomInsertManyMatchesInsert) {
   DistanceSensitiveBloomFilter one_by_one(family, lsh, params);
   DistanceSensitiveBloomFilter batched(family, lsh, params);
   Rng rng(9);
-  PointSet points = GenerateUniform(64, dim, 1, &rng);
-  for (const Point& p : points) one_by_one.Insert(p);
-  batched.InsertMany(PointStore::FromPointSet(dim, points));
-  PointSet queries = GenerateUniform(128, dim, 1, &rng);
-  for (const Point& q : queries) {
-    ASSERT_EQ(one_by_one.VoteFraction(q), batched.VoteFraction(q));
+  PointStore points = GenerateUniformStore(64, dim, 1, &rng);
+  for (size_t i = 0; i < points.size(); ++i) one_by_one.Insert(points[i]);
+  batched.InsertMany(points);
+  PointStore queries = GenerateUniformStore(128, dim, 1, &rng);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(one_by_one.VoteFraction(queries[i]),
+              batched.VoteFraction(queries[i]));
   }
 }
 
@@ -312,11 +307,10 @@ TEST(LshBatchTest, EmdTranscriptIdenticalForEveryThreadCount) {
     const size_t dim = metric == MetricKind::kHamming ? 64 : 3;
     const Coord delta = metric == MetricKind::kHamming ? 1 : 63;
     Rng rng(42);
-    PointSet alice_set = GenerateUniform(48, dim, delta, &rng);
-    PointSet bob_set = alice_set;
-    bob_set[0] = GenerateUniform(1, dim, delta, &rng)[0];  // one difference
-    PointStore alice = PointStore::FromPointSet(dim, alice_set);
-    PointStore bob = PointStore::FromPointSet(dim, bob_set);
+    PointStore alice = GenerateUniformStore(48, dim, delta, &rng);
+    // Bob differs from Alice in row 0 only.
+    PointStore bob = GenerateUniformStore(1, dim, delta, &rng);
+    for (size_t i = 1; i < alice.size(); ++i) bob.Append(alice[i]);
     EmdProtocolParams params;
     params.metric = metric;
     params.dim = dim;
@@ -395,14 +389,10 @@ TEST(LshBatchTest, LowDimGapTranscriptIdenticalForEveryThreadCount) {
 
 TEST(LshBatchTest, MultiPartyIdenticalForEveryThreadCount) {
   Rng rng(45);
-  PointSet base = GenerateUniform(20, 3, 127, &rng);
-  std::vector<PointSet> party_sets(3, base);
-  party_sets[0].pop_back();
-  party_sets[1].push_back(GenerateUniform(1, 3, 127, &rng)[0]);
-  std::vector<PointStore> parties;
-  for (const PointSet& set : party_sets) {
-    parties.push_back(PointStore::FromPointSet(3, set));
-  }
+  PointStore base = GenerateUniformStore(20, 3, 127, &rng);
+  std::vector<PointStore> parties(3, base);
+  parties[0].Truncate(base.size() - 1);
+  GenerateUniformInto(1, 3, 127, &rng, &parties[1]);
   MultiPartyParams params;
   params.dim = 3;
   params.delta = 127;

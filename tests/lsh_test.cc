@@ -13,17 +13,20 @@
 #include "lsh/mlsh.h"
 #include "lsh/one_sided_grid.h"
 #include "lsh/pstable.h"
+#include "test_points.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
 namespace rsr {
 namespace {
 
+using ::rsr::testing::StoreOf;
+
 constexpr int kDraws = 6000;
 
 /// Empirical collision probability between two fixed points.
-double EmpiricalCollision(const LshFamily& family, const Point& x,
-                          const Point& y, int draws, uint64_t seed) {
+double EmpiricalCollision(const LshFamily& family, PointRef x, PointRef y,
+                          int draws, uint64_t seed) {
   Rng rng(seed);
   int hits = 0;
   for (int i = 0; i < draws; ++i) {
@@ -31,6 +34,14 @@ double EmpiricalCollision(const LshFamily& family, const Point& x,
     hits += (h->Eval(x) == h->Eval(y));
   }
   return static_cast<double>(hits) / draws;
+}
+
+/// A one-row store: x's first row perturbed within `radius`.
+PointStore Perturbed(const PointStore& x, MetricKind metric, double radius,
+                     Coord delta, Rng* rng) {
+  PointStore y(x.dim());
+  PerturbRowInto(x.row(0), x.dim(), metric, radius, delta, rng, y.AppendRow());
+  return y;
 }
 
 /// Margin: 5 sigma of a binomial proportion estimate.
@@ -43,8 +54,8 @@ double Margin(double p, int draws) {
 TEST(BitSamplingTest, EqualPointsAlwaysCollide) {
   BitSamplingFamily family(16, 32.0);
   Rng rng(1);
-  Point x = GenerateUniform(1, 16, 1, &rng)[0];
-  EXPECT_EQ(EmpiricalCollision(family, x, x, 500, 2), 1.0);
+  PointStore x = GenerateUniformStore(1, 16, 1, &rng);
+  EXPECT_EQ(EmpiricalCollision(family, x[0], x[0], 500, 2), 1.0);
 }
 
 TEST(BitSamplingTest, CollisionMatchesAnalytic) {
@@ -52,12 +63,12 @@ TEST(BitSamplingTest, CollisionMatchesAnalytic) {
   const double w = 64.0;
   BitSamplingFamily family(d, w);
   Rng rng(3);
-  Point x = GenerateUniform(1, d, 1, &rng)[0];
+  PointStore x = GenerateUniformStore(1, d, 1, &rng);
   for (int dist : {1, 4, 8, 16}) {
-    Point y = PerturbPoint(x, MetricKind::kHamming, dist, 1, &rng);
-    ASSERT_EQ(HammingDistance(x, y), dist);
+    PointStore y = Perturbed(x, MetricKind::kHamming, dist, 1, &rng);
+    ASSERT_EQ(HammingDistance(x.row(0), y.row(0), d), dist);
     double expect = family.CollisionProbability(dist);
-    double got = EmpiricalCollision(family, x, y, kDraws,
+    double got = EmpiricalCollision(family, x[0], y[0], kDraws,
                                     static_cast<uint64_t>(100 + dist));
     EXPECT_NEAR(got, expect, Margin(expect, kDraws)) << "dist=" << dist;
   }
@@ -80,19 +91,18 @@ TEST(BitSamplingTest, RequiresWidthAtLeastDim) {
 TEST(GridTest, EqualPointsAlwaysCollide) {
   GridFamily family(4, 10.0);
   Rng rng(4);
-  Point x = GenerateUniform(1, 4, 100, &rng)[0];
-  EXPECT_EQ(EmpiricalCollision(family, x, x, 500, 5), 1.0);
+  PointStore x = GenerateUniformStore(1, 4, 100, &rng);
+  EXPECT_EQ(EmpiricalCollision(family, x[0], x[0], 500, 5), 1.0);
 }
 
 TEST(GridTest, SingleCoordinateCollisionIsExact) {
   // Points differing by t in one coordinate collide w.p. exactly 1 - t/w.
   const double w = 20.0;
   GridFamily family(3, w);
-  Point x(std::vector<Coord>{50, 50, 50});
   for (Coord t : {2, 5, 10}) {
-    Point y(std::vector<Coord>{50 + t, 50, 50});
+    PointStore xy = StoreOf(3, {{50, 50, 50}, {50 + t, 50, 50}});
     double expect = 1.0 - static_cast<double>(t) / w;
-    double got = EmpiricalCollision(family, x, y, kDraws,
+    double got = EmpiricalCollision(family, xy[0], xy[1], kDraws,
                                     static_cast<uint64_t>(200 + t));
     EXPECT_NEAR(got, expect, Margin(expect, kDraws)) << "t=" << t;
   }
@@ -101,11 +111,11 @@ TEST(GridTest, SingleCoordinateCollisionIsExact) {
 TEST(GridTest, SpreadLayoutCollidesMoreThanConcentrated) {
   const double w = 24.0;
   GridFamily family(4, w);
-  Point x(std::vector<Coord>{50, 50, 50, 50});
-  Point concentrated(std::vector<Coord>{62, 50, 50, 50});  // l1 = 12
-  Point spread(std::vector<Coord>{53, 53, 53, 53});        // l1 = 12
-  double pc = EmpiricalCollision(family, x, concentrated, kDraws, 7);
-  double ps = EmpiricalCollision(family, x, spread, kDraws, 8);
+  PointStore rows = StoreOf(4, {{50, 50, 50, 50},
+                                {62, 50, 50, 50},    // concentrated, l1 = 12
+                                {53, 53, 53, 53}});  // spread, l1 = 12
+  double pc = EmpiricalCollision(family, rows[0], rows[1], kDraws, 7);
+  double ps = EmpiricalCollision(family, rows[0], rows[2], kDraws, 8);
   EXPECT_GT(ps, pc);
 }
 
@@ -128,12 +138,11 @@ TEST(PStableTest, AnalyticLimits) {
 TEST(PStableTest, EmpiricalMatchesAnalytic) {
   const double w = 12.0;
   PStableFamily family(4, w);
-  Point x(std::vector<Coord>{100, 100, 100, 100});
   for (Coord t : {2, 6, 12}) {
-    Point y(std::vector<Coord>{100 + t, 100, 100, 100});
-    double dist = L2Distance(x, y);
+    PointStore xy = StoreOf(4, {{100, 100, 100, 100}, {100 + t, 100, 100, 100}});
+    double dist = L2Distance(xy.row(0), xy.row(1), 4);
     double expect = family.CollisionProbability(dist);
-    double got = EmpiricalCollision(family, x, y, kDraws,
+    double got = EmpiricalCollision(family, xy[0], xy[1], kDraws,
                                     static_cast<uint64_t>(300 + t));
     EXPECT_NEAR(got, expect, Margin(expect, kDraws)) << "t=" << t;
   }
@@ -158,14 +167,14 @@ TEST_P(MlshSandwichTest, CollisionProbabilityIsSandwiched) {
   Rng rng(1234);
 
   for (int trial = 0; trial < 6; ++trial) {
-    Point x = GenerateUniform(1, c.dim, c.delta, &rng)[0];
+    PointStore x = GenerateUniformStore(1, c.dim, c.delta, &rng);
     double radius = params.r * (0.1 + 0.13 * trial);
-    Point y = PerturbPoint(x, c.metric, radius, c.delta, &rng);
-    double f = metric.Distance(x, y);
+    PointStore y = Perturbed(x, c.metric, radius, c.delta, &rng);
+    double f = metric.Distance(x[0], y[0]);
     if (f <= 0 || f > params.r) continue;
     double lower = std::pow(params.p, f);
     double upper = std::pow(params.p, params.alpha * f);
-    double got = EmpiricalCollision(*family, x, y, kDraws,
+    double got = EmpiricalCollision(*family, x[0], y[0], kDraws,
                                     static_cast<uint64_t>(9000 + trial));
     double margin = Margin(got, kDraws);
     EXPECT_GE(got + margin, lower) << "f=" << f;
@@ -191,13 +200,14 @@ TEST(OneSidedGridTest, NeverCollidesBeyondR2) {
   Rng rng(55);
   // Property: points at l1 distance > r2 never share a bucket.
   for (int trial = 0; trial < 40; ++trial) {
-    Point x = GenerateUniform(1, d, 500, &rng)[0];
-    Point y = GenerateUniform(1, d, 500, &rng)[0];
-    if (L1Distance(x, y) <= r2) continue;
+    PointStore x = GenerateUniformStore(1, d, 500, &rng);
+    PointStore y = GenerateUniformStore(1, d, 500, &rng);
+    if (L1Distance(x.row(0), y.row(0), d) <= r2) continue;
     for (int draw = 0; draw < 50; ++draw) {
       auto h = family.Draw(&rng);
-      ASSERT_NE(h->Eval(x), h->Eval(y))
-          << "far points collided: " << x.ToString() << " " << y.ToString();
+      ASSERT_NE(h->Eval(x[0]), h->Eval(y[0]))
+          << "far points collided: " << x[0].ToString() << " "
+          << y[0].ToString();
     }
   }
 }
@@ -207,9 +217,9 @@ TEST(OneSidedGridTest, ClosePointsCollideOften) {
   const double r2 = 40.0;
   OneSidedGridFamily family(d, r2, 1);
   Rng rng(56);
-  Point x(std::vector<Coord>{100, 100});
-  Point y(std::vector<Coord>{101, 101});  // l1 = 2, rho_hat = 2*2/40 = 0.1
-  double got = EmpiricalCollision(family, x, y, kDraws, 57);
+  // l1 = 2, rho_hat = 2*2/40 = 0.1
+  PointStore xy = StoreOf(2, {{100, 100}, {101, 101}});
+  double got = EmpiricalCollision(family, xy[0], xy[1], kDraws, 57);
   EXPECT_GE(got, 1.0 - family.RhoHat(2.0) - 0.05);
 }
 

@@ -1,12 +1,9 @@
-// Tests for multi-party union reconciliation ([23] over the sum-cell RIBLT)
-// and the greedy EMD evaluator.
+// Tests for multi-party union reconciliation ([23] over the sum-cell RIBLT).
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "core/multiparty.h"
-#include "emd/emd.h"
-#include "emd/greedy.h"
 #include "sketch/riblt.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -14,23 +11,18 @@
 namespace rsr {
 namespace {
 
-PointSet SortedUnion(const std::vector<PointSet>& parties) {
-  PointSet all;
-  for (const auto& set : parties) {
-    all.insert(all.end(), set.begin(), set.end());
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
+PointSet SortedUnion(const std::vector<PointStore>& parties) {
+  PointStore all(2);
+  for (const PointStore& set : parties) all.AppendStore(set);
+  all.SortLexAndDedup();
+  return all.ToPointSet();
 }
 
-std::vector<PointStore> ToStores(const std::vector<PointSet>& parties) {
-  std::vector<PointStore> stores;
-  stores.reserve(parties.size());
-  for (const PointSet& set : parties) {
-    stores.push_back(PointStore::FromPointSet(2, set));
-  }
-  return stores;
+/// A party's output set with duplicates collapsed, in sorted order.
+PointSet SortedDistinct(PointSet set) {
+  std::sort(set.begin(), set.end());
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+  return set;
 }
 
 MultiPartyParams MakeParams(size_t cells, uint64_t seed = 9) {
@@ -42,15 +34,13 @@ MultiPartyParams MakeParams(size_t cells, uint64_t seed = 9) {
   return params;
 }
 
-std::vector<PointSet> MakeParties(size_t s, size_t shared, size_t unique_each,
-                                  uint64_t seed) {
+std::vector<PointStore> MakeParties(size_t s, size_t shared,
+                                    size_t unique_each, uint64_t seed) {
   Rng rng(seed);
-  PointSet common = GenerateUniform(shared, 2, 1023, &rng);
-  std::vector<PointSet> parties(s);
-  for (auto& set : parties) {
-    set = common;
-    PointSet extra = GenerateUniform(unique_each, 2, 1023, &rng);
-    set.insert(set.end(), extra.begin(), extra.end());
+  PointStore common = GenerateUniformStore(shared, 2, 1023, &rng);
+  std::vector<PointStore> parties(s, common);
+  for (PointStore& set : parties) {
+    GenerateUniformInto(unique_each, 2, 1023, &rng, &set);
   }
   return parties;
 }
@@ -65,9 +55,9 @@ TEST(MultiPartyTest, RejectsDegenerateInputs) {
 
 TEST(MultiPartyTest, IdenticalPartiesNoWork) {
   Rng rng(1);
-  PointSet shared = GenerateUniform(50, 2, 1023, &rng);
-  std::vector<PointSet> parties(4, shared);
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36));
+  PointStore shared = GenerateUniformStore(50, 2, 1023, &rng);
+  std::vector<PointStore> parties(4, shared);
+  auto report = RunMultiPartyUnion(parties, MakeParams(36));
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->all_ok);
   for (const auto& final_set : report->final_sets) {
@@ -83,14 +73,11 @@ TEST_P(MultiPartyCountTest, EveryPartyGetsTheUnion) {
   PointSet want = SortedUnion(parties);
   // Decode load per party <= (s-1)*3 missing + own 3 surplus; size with the
   // paper's 4 q^2 margin.
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36 * (s * 3 + 3)));
+  auto report = RunMultiPartyUnion(parties, MakeParams(36 * (s * 3 + 3)));
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->all_ok);
   for (size_t i = 0; i < s; ++i) {
-    PointSet got = report->final_sets[i];
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    EXPECT_EQ(got, want) << "party " << i;
+    EXPECT_EQ(SortedDistinct(report->final_sets[i]), want) << "party " << i;
   }
 }
 
@@ -100,35 +87,32 @@ INSTANTIATE_TEST_SUITE_P(PartyCounts, MultiPartyCountTest,
 TEST(MultiPartyTest, PartialOverlapPatterns) {
   // Element multiplicities 1..s-1 all survive cancellation correctly.
   Rng rng(2);
-  PointSet base = GenerateUniform(40, 2, 1023, &rng);
-  PointSet extras = GenerateUniform(6, 2, 1023, &rng);
-  std::vector<PointSet> parties(4, base);
-  parties[0].push_back(extras[0]);                       // multiplicity 1
-  parties[1].push_back(extras[1]);
-  parties[1].push_back(extras[2]);
-  parties[2].push_back(extras[2]);                       // multiplicity 2
-  parties[0].push_back(extras[3]);
-  parties[1].push_back(extras[3]);
-  parties[2].push_back(extras[3]);                       // multiplicity 3
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36 * 16));
+  PointStore base = GenerateUniformStore(40, 2, 1023, &rng);
+  PointStore extras = GenerateUniformStore(6, 2, 1023, &rng);
+  std::vector<PointStore> parties(4, base);
+  parties[0].Append(extras[0]);                       // multiplicity 1
+  parties[1].Append(extras[1]);
+  parties[1].Append(extras[2]);
+  parties[2].Append(extras[2]);                       // multiplicity 2
+  parties[0].Append(extras[3]);
+  parties[1].Append(extras[3]);
+  parties[2].Append(extras[3]);                       // multiplicity 3
+  auto report = RunMultiPartyUnion(parties, MakeParams(36 * 16));
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->all_ok);
   PointSet want = SortedUnion(parties);
   for (const auto& final_set : report->final_sets) {
-    PointSet got = final_set;
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(SortedDistinct(final_set), want);
   }
 }
 
 TEST(MultiPartyTest, WithinPartyDuplicatesCollapse) {
   Rng rng(3);
-  PointSet base = GenerateUniform(10, 2, 1023, &rng);
-  std::vector<PointSet> parties(3, base);
-  parties[1].push_back(base[0]);  // duplicate of a shared point
-  parties[1].push_back(base[0]);
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36 * 4));
+  PointStore base = GenerateUniformStore(10, 2, 1023, &rng);
+  std::vector<PointStore> parties(3, base);
+  parties[1].Append(base[0]);  // duplicate of a shared point
+  parties[1].Append(base[0]);
+  auto report = RunMultiPartyUnion(parties, MakeParams(36 * 4));
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->all_ok);
   for (const auto& final_set : report->final_sets) {
@@ -138,7 +122,7 @@ TEST(MultiPartyTest, WithinPartyDuplicatesCollapse) {
 
 TEST(MultiPartyTest, UndersizedSketchFailsHonestly) {
   auto parties = MakeParties(3, 20, 30, 7);  // 90+ diff mass
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(24));
+  auto report = RunMultiPartyUnion(parties, MakeParams(24));
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->all_ok);
   // Failed parties keep their input sets (no garbage).
@@ -151,7 +135,7 @@ TEST(MultiPartyTest, UndersizedSketchFailsHonestly) {
 
 TEST(MultiPartyTest, CommIsOneBroadcastPerParty) {
   auto parties = MakeParties(5, 30, 2, 11);
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36 * 12));
+  auto report = RunMultiPartyUnion(parties, MakeParams(36 * 12));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->comm.rounds(), 5);
   EXPECT_EQ(report->used_cells, 36u * 12u);
@@ -169,8 +153,8 @@ TEST(MultiPartyTest, AdaptiveShrinksSketchesAndStillReachesTheUnion) {
   MultiPartyParams static_params = MakeParams(4096, 19);
   MultiPartyParams adaptive_params = static_params;
   adaptive_params.adaptive.enabled = true;
-  auto fixed = RunMultiPartyUnion(ToStores(parties), static_params);
-  auto adaptive = RunMultiPartyUnion(ToStores(parties), adaptive_params);
+  auto fixed = RunMultiPartyUnion(parties, static_params);
+  auto adaptive = RunMultiPartyUnion(parties, adaptive_params);
   ASSERT_TRUE(fixed.ok());
   ASSERT_TRUE(adaptive.ok());
   ASSERT_TRUE(fixed->all_ok);
@@ -191,20 +175,17 @@ TEST(MultiPartyTest, AdaptiveShrinksSketchesAndStillReachesTheUnion) {
   EXPECT_EQ(adaptive->comm.rounds(), fixed->comm.rounds() + 4);
 
   for (size_t i = 0; i < parties.size(); ++i) {
-    PointSet got = adaptive->final_sets[i];
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    EXPECT_EQ(got, want) << "party " << i;
+    EXPECT_EQ(SortedDistinct(adaptive->final_sets[i]), want) << "party " << i;
   }
 }
 
 TEST(MultiPartyTest, AdaptiveIdenticalPartiesHitTheFloor) {
   Rng rng(23);
-  PointSet shared = GenerateUniform(50, 2, 1023, &rng);
-  std::vector<PointSet> parties(3, shared);
+  PointStore shared = GenerateUniformStore(50, 2, 1023, &rng);
+  std::vector<PointStore> parties(3, shared);
   MultiPartyParams params = MakeParams(4096, 27);
   params.adaptive.enabled = true;
-  auto report = RunMultiPartyUnion(ToStores(parties), params);
+  auto report = RunMultiPartyUnion(parties, params);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->all_ok);
   // Zero estimated difference clamps to the floor, not to zero cells.
@@ -225,58 +206,14 @@ TEST(MultiPartyTest, AdaptiveUndersizeRetriesAtTheStaticCap) {
   MultiPartyParams params = MakeParams(3600, 7);
   params.adaptive.enabled = true;
   params.adaptive.cell_multiplier = 0.0001;
-  auto report = RunMultiPartyUnion(ToStores(parties), params);
+  auto report = RunMultiPartyUnion(parties, params);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->retried);
   EXPECT_EQ(report->used_cells, 3600u);
   ASSERT_TRUE(report->all_ok);
   for (const auto& final_set : report->final_sets) {
-    PointSet got = final_set;
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(SortedDistinct(final_set), want);
   }
-}
-
-// --------------------------------------------------------- greedy EMD --
-
-TEST(GreedyEmdTest, ZeroOnIdenticalSets) {
-  Rng rng(4);
-  PointSet x = GenerateUniform(30, 3, 255, &rng);
-  EXPECT_EQ(GreedyEmdUpperBound(x, x, Metric(MetricKind::kL1)), 0.0);
-}
-
-TEST(GreedyEmdTest, UpperBoundsExact) {
-  Rng rng(5);
-  Metric metric(MetricKind::kL2);
-  for (int trial = 0; trial < 40; ++trial) {
-    size_t n = 2 + rng.Below(12);
-    PointSet x = GenerateUniform(n, 2, 255, &rng);
-    PointSet y = GenerateUniform(n, 2, 255, &rng);
-    double exact = EmdExact(x, y, metric);
-    double greedy = GreedyEmdUpperBound(x, y, metric);
-    EXPECT_GE(greedy, exact - 1e-9) << "trial " << trial;
-  }
-}
-
-TEST(GreedyEmdTest, TightOnWellSeparatedMatchings) {
-  // When each x has a unique nearby partner, greedy finds the optimum.
-  Rng rng(6);
-  NoisyPairConfig config;
-  config.metric = MetricKind::kL2;
-  config.dim = 2;
-  config.delta = 4095;
-  config.n = 30;
-  config.outliers = 0;
-  config.noise = 1.0;
-  config.seed = 12;
-  auto workload = GenerateNoisyPair(config);
-  ASSERT_TRUE(workload.ok());
-  Metric metric(MetricKind::kL2);
-  double exact = EmdExact(workload->alice, workload->bob, metric);
-  double greedy = GreedyEmdUpperBound(workload->alice, workload->bob, metric);
-  EXPECT_LE(greedy, exact * 1.5 + 1.0);
-  (void)rng;
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// PointStore contract tests: the columnar arena must be indistinguishable
-// from the legacy vector<Point> representation everywhere it matters —
-// wire bytes, content hashes, ordering — while the hot paths (AppendMany,
-// EvaluateAllInto, Riblt::InsertMany) perform zero per-point allocations
-// (counted via the shared operator-new overrides in alloc_counter.cc).
+// PointStore contract tests: the bulk paths (WriteTo, ContentHashMany,
+// InDomainAll, SortLex) agree with their per-row PointRef counterparts, the
+// reader rejects malformed streams, and the hot paths (Append, EvaluateAllInto,
+// Riblt::InsertMany) perform zero per-point allocations (counted via the
+// shared operator-new overrides in alloc_counter.cc). The wire bytes and
+// content hashes themselves are pinned in golden_classic_test.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,49 +23,36 @@ namespace {
 
 using ::rsr::testing::AllocationCount;
 
-PointSet WithDuplicatesAndNegatives(size_t n, size_t dim, Rng* rng) {
-  PointSet points;
+PointStore WithDuplicatesAndNegatives(size_t n, size_t dim, Rng* rng) {
+  PointStore points(dim);
   for (size_t i = 0; i < n; ++i) {
-    std::vector<Coord> coords(dim);
-    for (auto& c : coords) {
-      c = rng->UniformInt(-3, 3);  // small alphabet => many duplicates
+    Coord* row = points.AppendRow();
+    for (size_t j = 0; j < dim; ++j) {
+      row[j] = rng->UniformInt(-3, 3);  // small alphabet => many duplicates
     }
-    points.push_back(Point(std::move(coords)));
   }
   return points;
 }
 
-TEST(PointStoreTest, SerializationByteIdenticalToLegacyPointFormat) {
+TEST(PointStoreTest, SerializationRoundTripsAndMatchesRowWriters) {
   Rng rng(1);
-  PointSet points = WithDuplicatesAndNegatives(65, 5, &rng);
-  PointStore store = PointStore::FromPointSet(5, points);
+  PointStore store = WithDuplicatesAndNegatives(65, 5, &rng);
 
-  ByteWriter legacy;
-  for (const Point& p : points) p.WriteTo(&legacy);
   ByteWriter columnar;
   store.WriteTo(&columnar);
-  ASSERT_EQ(legacy.buffer(), columnar.buffer());
 
-  // Per-row writer matches too (protocols interleave rows with other data).
+  // Per-row writers match (protocols interleave rows with other data).
   ByteWriter row_wise;
   for (size_t i = 0; i < store.size(); ++i) store.WritePointTo(&row_wise, i);
-  EXPECT_EQ(legacy.buffer(), row_wise.buffer());
+  EXPECT_EQ(columnar.buffer(), row_wise.buffer());
+  ByteWriter ref_wise;
+  for (size_t i = 0; i < store.size(); ++i) store[i].WriteTo(&ref_wise);
+  EXPECT_EQ(columnar.buffer(), ref_wise.buffer());
 
-  // Round trip through both readers.
-  ByteReader store_reader(columnar.buffer());
-  PointStore parsed = PointStore::ReadFrom(&store_reader, 5, points.size());
-  ASSERT_TRUE(store_reader.FinishAndCheckConsumed().ok());
-  ASSERT_EQ(parsed.size(), points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(parsed.MakePoint(i), points[i]) << i;
-  }
-
-  // Legacy reader parses the store's bytes.
-  ByteReader point_reader(columnar.buffer());
-  for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(Point::ReadFrom(&point_reader), points[i]) << i;
-  }
-  EXPECT_TRUE(point_reader.FinishAndCheckConsumed().ok());
+  ByteReader reader(columnar.buffer());
+  PointStore parsed = PointStore::ReadFrom(&reader, 5, store.size());
+  ASSERT_TRUE(reader.FinishAndCheckConsumed().ok());
+  EXPECT_EQ(parsed, store);
 }
 
 TEST(PointStoreTest, ReadFromRejectsDimensionMismatch) {
@@ -99,28 +87,21 @@ TEST(PointStoreTest, ReadFromRejectsACountTheStreamCannotHold) {
   }
 }
 
-TEST(PointStoreTest, ContentHashManyMatchesPerPointContentHash) {
+TEST(PointStoreTest, ContentHashManyMatchesPerRowContentHash) {
   Rng rng(3);
-  PointSet points = GenerateUniform(57, 6, 1023, &rng);
-  PointStore store = PointStore::FromPointSet(6, points);
+  PointStore store = GenerateUniformStore(57, 6, 1023, &rng);
   std::vector<uint64_t> store_hashes(store.size());
   store.ContentHashMany(0xabcULL, store_hashes.data());
-  std::vector<uint64_t> point_hashes(points.size());
-  ContentHashMany(points.data(), points.size(), 0xabcULL,
-                  point_hashes.data());
-  for (size_t i = 0; i < points.size(); ++i) {
-    ASSERT_EQ(store_hashes[i], point_hashes[i]) << i;
-    ASSERT_EQ(store_hashes[i], points[i].ContentHash(0xabcULL)) << i;
+  for (size_t i = 0; i < store.size(); ++i) {
     ASSERT_EQ(store_hashes[i], store[i].ContentHash(0xabcULL)) << i;
   }
 }
 
 TEST(PointStoreTest, SortAndDedupMatchStdSortOnPointSet) {
   Rng rng(4);
-  PointSet points = WithDuplicatesAndNegatives(120, 3, &rng);
-  PointStore store = PointStore::FromPointSet(3, points);
+  PointStore store = WithDuplicatesAndNegatives(120, 3, &rng);
 
-  PointSet sorted = points;
+  PointSet sorted = store.ToPointSet();
   std::sort(sorted.begin(), sorted.end());
   PointStore store_sorted = store;
   store_sorted.SortLex();
@@ -140,8 +121,8 @@ TEST(PointStoreTest, SortAndDedupMatchStdSortOnPointSet) {
 
 TEST(PointStoreTest, PointRefComparisonsMatchPointSemantics) {
   Rng rng(5);
-  PointSet points = WithDuplicatesAndNegatives(40, 4, &rng);
-  PointStore store = PointStore::FromPointSet(4, points);
+  PointStore store = WithDuplicatesAndNegatives(40, 4, &rng);
+  const PointSet points = store.ToPointSet();
   for (size_t i = 0; i < points.size(); ++i) {
     for (size_t j = 0; j < points.size(); ++j) {
       ASSERT_EQ(store[i] == store[j], points[i] == points[j]);
@@ -150,17 +131,17 @@ TEST(PointStoreTest, PointRefComparisonsMatchPointSemantics) {
   }
 }
 
-TEST(PointStoreTest, InDomainAllMatchesPerPointInDomain) {
+TEST(PointStoreTest, InDomainAllMatchesPerRowInDomain) {
   Rng rng(6);
   PointStore store = GenerateUniformStore(32, 4, 255, &rng);
   EXPECT_TRUE(store.InDomainAll(255));
   EXPECT_FALSE(store.InDomainAll(254 / 2));  // some coordinate exceeds
-  for (size_t i = 0; i < store.size(); ++i) {
-    EXPECT_EQ(store[i].InDomain(100), store.MakePoint(i).InDomain(100));
+  for (Coord delta : {Coord{100}, Coord{254}, Coord{255}}) {
+    bool all = true;
+    for (size_t i = 0; i < store.size(); ++i) all &= store[i].InDomain(delta);
+    EXPECT_EQ(store.InDomainAll(delta), all) << delta;
   }
-  // ValidatePointStore accepts exactly what ValidatePointSet accepts.
   ValidatePointStore(store, 4, 255);
-  ValidatePointSet(store.ToPointSet(), 4, 255);
 }
 
 TEST(PointStoreTest, DoublePlaneTracksMutation) {
@@ -179,24 +160,24 @@ TEST(PointStoreTest, DoublePlaneTracksMutation) {
   EXPECT_EQ(plane[9 * 3 + 1], -2.0);
 }
 
-TEST(PointStoreTest, AppendManyAfterReserveDoesNotAllocate) {
+TEST(PointStoreTest, AppendAfterReserveDoesNotAllocate) {
   Rng rng(8);
-  PointSet points = GenerateUniform(512, 4, 255, &rng);
-  PointStore store(4);
-  store.Reserve(points.size());
+  PointStore points = GenerateUniformStore(512, 4, 255, &rng);
+  // The arena grab happens in Reserve, outside the measured windows.
+  PointStore bulk(4);
+  bulk.Reserve(points.size());
   long long before = AllocationCount();
-  store.AppendMany(points);
+  bulk.AppendStore(points);
   EXPECT_EQ(AllocationCount(), before);
-  // Raw-row appends are allocation-free too.
-  long long before_rows = AllocationCount();
-  PointStore copy(4);
-  // (construction itself may not allocate; the arena grab below may — so
-  // reserve first, outside the measured window)
-  copy.Reserve(store.size());
-  before_rows = AllocationCount();
-  for (size_t i = 0; i < store.size(); ++i) copy.Append(store.row(i));
-  EXPECT_EQ(AllocationCount(), before_rows);
-  EXPECT_EQ(copy.size(), store.size());
+  EXPECT_EQ(bulk, points);
+
+  PointStore rows(4);
+  rows.Reserve(2 * points.size());
+  before = AllocationCount();
+  for (size_t i = 0; i < points.size(); ++i) rows.Append(points.row(i));
+  for (size_t i = 0; i < points.size(); ++i) rows.Append(points[i]);
+  EXPECT_EQ(AllocationCount(), before);
+  EXPECT_EQ(rows.size(), 2 * points.size());
 }
 
 TEST(PointStoreTest, WarmEvaluateAllIntoAndInsertManyDoNotAllocate) {
@@ -254,47 +235,6 @@ TEST(PointStoreTest, WarmEvaluateAllIntoAndInsertManyDoNotAllocate) {
   }
 }
 
-TEST(PointStoreTest, StoreGeneratorsMatchLegacyGenerators) {
-  // Same seed => identical points through either representation (the
-  // PointSet generators are adapters over the store-native code).
-  Rng rng_a(12);
-  Rng rng_b(12);
-  PointStore store = GenerateUniformStore(33, 5, 511, &rng_a);
-  PointSet points = GenerateUniform(33, 5, 511, &rng_b);
-  ASSERT_EQ(store.size(), points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    ASSERT_EQ(store.MakePoint(i), points[i]) << i;
-  }
-
-  NoisyPairConfig config;
-  config.metric = MetricKind::kL2;
-  config.dim = 3;
-  config.delta = 255;
-  config.n = 24;
-  config.outliers = 2;
-  config.noise = 2.0;
-  config.outlier_dist = 60;
-  config.seed = 4242;
-  auto stores = GenerateNoisyPairStore(config);
-  auto sets = GenerateNoisyPair(config);
-  ASSERT_TRUE(stores.ok());
-  ASSERT_TRUE(sets.ok());
-  ASSERT_EQ(stores->alice.ToPointSet(), sets->alice);
-  ASSERT_EQ(stores->bob.ToPointSet(), sets->bob);
-  ASSERT_EQ(stores->ground.ToPointSet(), sets->ground);
-  ASSERT_EQ(stores->alice_outliers.ToPointSet(), sets->alice_outliers);
-  ASSERT_EQ(stores->bob_outliers.ToPointSet(), sets->bob_outliers);
-
-  ClusterConfig clusters;
-  clusters.dim = 4;
-  clusters.delta = 127;
-  clusters.num_clusters = 3;
-  clusters.points_per_cluster = 5;
-  clusters.seed = 77;
-  ASSERT_EQ(GenerateClustersStore(clusters).ToPointSet(),
-            GenerateClusters(clusters));
-}
-
 // ------------------------------------------- dirty-tail double plane --
 
 void ExpectPlaneMatchesCoords(const PointStore& store) {
@@ -341,11 +281,11 @@ TEST(PointStoreTest, RemoveRowSwapKeepsThePlaneValid) {
   store.DoublePlane();
 
   // Swap-remove inside the converted prefix: plane row patched in place.
-  Point moved = store.MakePoint(7);
+  const std::vector<Coord> moved(store.row(7), store.row(7) + 2);
   store.RemoveRowSwap(2);
   EXPECT_EQ(store.size(), 7u);
   EXPECT_EQ(store.cached_plane_rows(), 7u);
-  EXPECT_EQ(store.MakePoint(2), moved);
+  EXPECT_EQ(store[2], PointRef(moved.data(), 2));
   ExpectPlaneMatchesCoords(store);
 
   // Removing the last row just shrinks the watermark.
@@ -361,7 +301,7 @@ TEST(PointStoreTest, RemoveRowSwapKeepsThePlaneValid) {
   store.Append(b);
   ASSERT_LT(store.cached_plane_rows(), store.size());
   store.RemoveRowSwap(0);
-  EXPECT_EQ(store.MakePoint(0), Point({21, 9}));
+  EXPECT_EQ(store[0], PointRef(b, 2));
   ExpectPlaneMatchesCoords(store);
 }
 

@@ -21,10 +21,13 @@
 #include "sketch/iblt.h"
 #include "sketch/riblt.h"
 #include "util/random.h"
+#include "test_points.h"
 #include "workload/generators.h"
 
 namespace rsr {
 namespace {
+
+using ::rsr::testing::AllInDomain;
 
 // ------------------------------------------------ EMD protocol sweep --
 
@@ -64,7 +67,7 @@ TEST_P(EmdProtocolGridTest, InvariantsHold) {
 
   // Invariant 1: |S'_B| == n and all points in the domain.
   ASSERT_EQ(report->s_b_prime.size(), n);
-  ValidatePointSet(report->s_b_prime, dim, delta);
+  EXPECT_TRUE(AllInDomain(report->s_b_prime, dim, delta));
   // Invariant 2: Theorem 3.4's form — the result is never worse than both
   // the starting distance (with slack for extraction rounding) and the
   // O(log n) * EMD_k bound. (The repair CAN slightly exceed `before` on
@@ -197,18 +200,18 @@ TEST(SketchAlgebraTest, RibltStateIsOrderInvariant) {
   params.delta = 100;
   params.seed = 9;
   Rng rng(10);
-  PointSet values = GenerateUniform(20, 3, 100, &rng);
+  PointStore values = GenerateUniformStore(20, 3, 100, &rng);
   std::vector<uint64_t> keys(20);
   for (auto& k : keys) k = rng.Next();
 
   Riblt forward(params), shuffled(params);
   for (size_t i = 0; i < keys.size(); ++i) {
-    forward.Update(keys[i], values[i].coords().data(), +1);
+    forward.Update(keys[i], values.row(i), +1);
   }
   std::vector<size_t> order(keys.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = order.size() - 1 - i;
   for (size_t i : order) {
-    shuffled.Update(keys[i], values[i].coords().data(), +1);
+    shuffled.Update(keys[i], values.row(i), +1);
   }
 
   ByteWriter wf, ws;
@@ -231,12 +234,12 @@ TEST(SketchAlgebraTest, RibltDecodeConservesMultiset) {
   std::map<uint64_t, int64_t> net;
   for (int i = 0; i < 10; ++i) {
     uint64_t key = 100 + rng.Below(12);  // deliberately collide keys
-    Point value = GenerateUniform(1, 2, 50, &rng)[0];
+    PointStore value = GenerateUniformStore(1, 2, 50, &rng);
     if (rng.Bernoulli(0.5)) {
-      table.Update(key, value.coords().data(), +1);
+      table.Update(key, value.row(0), +1);
       net[key] += 1;
     } else {
-      table.Update(key, value.coords().data(), -1);
+      table.Update(key, value.row(0), -1);
       net[key] -= 1;
     }
   }
@@ -289,7 +292,7 @@ TEST(WireRobustnessTest, TruncatedRibltFailsCleanly) {
   Rng rng(24);
   for (int i = 0; i < 6; ++i) {
     table.Update(rng.Next(),
-                 GenerateUniform(1, 2, 50, &rng)[0].coords().data(), +1);
+                 GenerateUniformStore(1, 2, 50, &rng).row(0), +1);
   }
   ByteWriter w;
   table.WriteTo(&w);
@@ -311,7 +314,7 @@ TEST(WireRobustnessTest, CorruptedRibltDecodeIsSafe) {
   Rng rng(26);
   for (int i = 0; i < 6; ++i) {
     table.Update(rng.Next(),
-                 GenerateUniform(1, 2, 50, &rng)[0].coords().data(), +1);
+                 GenerateUniformStore(1, 2, 50, &rng).row(0), +1);
   }
   ByteWriter w;
   table.WriteTo(&w);

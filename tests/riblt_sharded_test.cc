@@ -6,15 +6,14 @@
 // bytes — must match exactly for every (num_shards, num_threads)
 // combination, on cold and warm (pooled-scratch) calls alike. The basic
 // insert/delete identity runs over both tables in cell_table_test.cc; the
-// protocol tests here pin the stronger end-to-end form: full EMD and Gap
-// transcripts are independent of the sketch_shards knob.
+// protocol test here pins the stronger end-to-end form: the full EMD
+// transcript is independent of the sketch_shards knob.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/emd_protocol.h"
-#include "core/gap_protocol.h"
 #include "sketch/iblt.h"
 #include "sketch/riblt.h"
 #include "util/random.h"
@@ -110,11 +109,10 @@ TEST(RibltShardedTest, EmdTranscriptIdenticalForEveryShardCount) {
   const size_t dim = 3;
   const Coord delta = 63;
   Rng rng(42);
-  PointSet alice_set = GenerateUniform(48, dim, delta, &rng);
-  PointSet bob_set = alice_set;
-  bob_set[0] = GenerateUniform(1, dim, delta, &rng)[0];
-  PointStore alice = PointStore::FromPointSet(dim, alice_set);
-  PointStore bob = PointStore::FromPointSet(dim, bob_set);
+  PointStore alice = GenerateUniformStore(48, dim, delta, &rng);
+  // Bob differs from Alice in row 0 only.
+  PointStore bob = GenerateUniformStore(1, dim, delta, &rng);
+  for (size_t i = 1; i < alice.size(); ++i) bob.Append(alice[i]);
   EmdProtocolParams params;
   params.metric = MetricKind::kL2;
   params.dim = dim;
@@ -137,31 +135,6 @@ TEST(RibltShardedTest, EmdTranscriptIdenticalForEveryShardCount) {
       EXPECT_EQ(report->x_b, baseline->x_b);
       ExpectSameComm(report->comm, baseline->comm);
     }
-  }
-}
-
-TEST(RibltShardedTest, GapTranscriptIdenticalForEveryShardCount) {
-  Rng rng(43);
-  PointStore alice = GenerateUniformStore(32, 128, 1, &rng);
-  PointStore bob = GenerateUniformStore(32, 128, 1, &rng);
-  GapProtocolParams params;
-  params.metric = MetricKind::kHamming;
-  params.dim = 128;
-  params.delta = 1;
-  params.r1 = 2;
-  params.r2 = 32;
-  params.k = 2;
-  params.seed = 77;
-  auto baseline = RunGapProtocol(alice, bob, params);
-  ASSERT_TRUE(baseline.ok());
-  for (size_t shards : {size_t{2}, size_t{7}, size_t{64}}) {
-    params.reconciler.sketch_shards = shards;
-    params.reconciler.num_threads = 2;
-    auto report = RunGapProtocol(alice, bob, params);
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report->transmitted, baseline->transmitted);
-    EXPECT_EQ(report->s_b_prime, baseline->s_b_prime);
-    ExpectSameComm(report->comm, baseline->comm);
   }
 }
 

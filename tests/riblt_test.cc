@@ -30,7 +30,12 @@ RibltParams MakeParams(size_t cells, size_t dim, Coord delta, int q = 3,
   return params;
 }
 
-Point P(std::vector<Coord> coords) { return Point(std::move(coords)); }
+/// A one-row store holding `coords`.
+PointStore P(std::initializer_list<Coord> coords) {
+  PointStore row(coords.size());
+  row.Append(coords.begin());
+  return row;
+}
 
 TEST(RibltTest, EmptyDecodes) {
   Riblt table(MakeParams(36, 2, 10));
@@ -43,33 +48,32 @@ TEST(RibltTest, EmptyDecodes) {
 
 TEST(RibltTest, ExactRecoveryUniqueKeys) {
   Riblt table(MakeParams(144, 2, 100));
-  std::map<uint64_t, Point> alice = {{11, P({1, 2})}, {22, P({3, 4})}};
-  std::map<uint64_t, Point> bob = {{33, P({5, 6})}, {44, P({7, 8})}};
-  for (const auto& [k, v] : alice) table.Update(k, v.coords().data(), +1);
-  for (const auto& [k, v] : bob) table.Update(k, v.coords().data(), -1);
+  std::map<uint64_t, PointStore> alice = {{11, P({1, 2})}, {22, P({3, 4})}};
+  std::map<uint64_t, PointStore> bob = {{33, P({5, 6})}, {44, P({7, 8})}};
+  for (const auto& [k, v] : alice) table.Update(k, v.row(0), +1);
+  for (const auto& [k, v] : bob) table.Update(k, v.row(0), -1);
   Rng rng(2);
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->inserted.size(), 2u);
   ASSERT_EQ(result->deleted.size(), 2u);
   for (size_t i = 0; i < result->inserted.size(); ++i) {
-    EXPECT_EQ(result->inserted.MakePoint(i),
-              alice.at(result->inserted_keys[i]));
+    EXPECT_EQ(result->inserted[i], alice.at(result->inserted_keys[i])[0]);
   }
   for (size_t i = 0; i < result->deleted.size(); ++i) {
-    EXPECT_EQ(result->deleted.MakePoint(i), bob.at(result->deleted_keys[i]));
+    EXPECT_EQ(result->deleted[i], bob.at(result->deleted_keys[i])[0]);
   }
 }
 
 TEST(RibltTest, EqualPairsCancelCompletely) {
   Riblt table(MakeParams(72, 3, 50));
   Rng rng(3);
-  PointSet points = GenerateUniform(30, 3, 50, &rng);
+  PointStore points = GenerateUniformStore(30, 3, 50, &rng);
   for (size_t i = 0; i < points.size(); ++i) {
-    table.Update(1000 + i, points[i].coords().data(), +1);
+    table.Update(1000 + i, points.row(i), +1);
   }
   for (size_t i = 0; i < points.size(); ++i) {
-    table.Update(1000 + i, points[i].coords().data(), -1);
+    table.Update(1000 + i, points.row(i), -1);
   }
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
@@ -82,8 +86,8 @@ TEST(RibltTest, DuplicateKeysSameSideAveraged) {
   // (and randomized-rounds); with values 10 and 20 every extracted coordinate
   // must be 15 exactly (integer average).
   Riblt table(MakeParams(36, 1, 100));
-  table.Update(77, P({10}).coords().data(), +1);
-  table.Update(77, P({20}).coords().data(), +1);
+  table.Update(77, P({10}).row(0), +1);
+  table.Update(77, P({20}).row(0), +1);
   Rng rng(4);
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
@@ -100,8 +104,8 @@ TEST(RibltTest, RandomizedRoundingIsUnbiased) {
   int tens = 0, elevens = 0;
   for (int trial = 0; trial < 400; ++trial) {
     Riblt table(MakeParams(36, 1, 100, 3, 7));
-    table.Update(5, P({10}).coords().data(), +1);
-    table.Update(5, P({11}).coords().data(), +1);
+    table.Update(5, P({10}).row(0), +1);
+    table.Update(5, P({11}).row(0), +1);
     Rng rng(static_cast<uint64_t>(9000 + trial));
     auto result = table.Decode(10, 10, &rng);
     ASSERT_TRUE(result.ok());
@@ -120,10 +124,10 @@ TEST(RibltTest, ExtractedValuesClampedToDomain) {
   // extraction below 0; the decoder must clamp into [0, delta].
   for (int trial = 0; trial < 50; ++trial) {
     Riblt table(MakeParams(24, 1, 20, 3, static_cast<uint64_t>(100 + trial)));
-    table.Update(1, P({0}).coords().data(), +1);
+    table.Update(1, P({0}).row(0), +1);
     // Same key, value error -20 left behind.
-    table.Update(1, P({20}).coords().data(), -1);
-    table.Update(2, P({1}).coords().data(), +1);
+    table.Update(1, P({20}).row(0), -1);
+    table.Update(2, P({1}).row(0), +1);
     Rng rng(static_cast<uint64_t>(trial));
     auto result = table.Decode(10, 10, &rng);
     if (!result.ok()) continue;
@@ -139,11 +143,11 @@ TEST(RibltTest, ErrorPropagationMatchesFigure1) {
   // colliding extraction: total extracted "mass" shifts by e along the
   // peeling cascade, but key identities stay exact.
   Riblt table(MakeParams(24, 1, 100, 3, 12345));
-  table.Update(1, P({40}).coords().data(), +1);
+  table.Update(1, P({40}).row(0), +1);
   // Error -10 hidden in key 1's cells.
-  table.Update(1, P({50}).coords().data(), -1);
-  table.Update(2, P({60}).coords().data(), +1);
-  table.Update(3, P({70}).coords().data(), +1);
+  table.Update(1, P({50}).row(0), -1);
+  table.Update(2, P({60}).row(0), +1);
+  table.Update(3, P({70}).row(0), +1);
   Rng rng(5);
   auto result = table.Decode(10, 10, &rng);
   ASSERT_TRUE(result.ok());
@@ -164,7 +168,7 @@ TEST(RibltTest, ErrorPropagationMatchesFigure1) {
 TEST(RibltTest, MaxPairsCapFails) {
   Riblt table(MakeParams(120, 1, 10));
   for (uint64_t k = 0; k < 20; ++k) {
-    table.Update(k + 1, P({1}).coords().data(), +1);
+    table.Update(k + 1, P({1}).row(0), +1);
   }
   Rng rng(6);
   auto result = table.Decode(10, 10, &rng);
@@ -175,7 +179,7 @@ TEST(RibltTest, MaxPairsCapFails) {
 TEST(RibltTest, PerSideCapFails) {
   Riblt table(MakeParams(120, 1, 10));
   for (uint64_t k = 0; k < 8; ++k) {
-    table.Update(k + 1, P({1}).coords().data(), +1);
+    table.Update(k + 1, P({1}).row(0), +1);
   }
   Rng rng(7);
   auto result = table.Decode(100, 4, &rng);
@@ -188,7 +192,7 @@ TEST(RibltTest, OverloadedSparseTableFails) {
   Riblt table(MakeParams(30, 1, 10));
   Rng seed_rng(8);
   for (int i = 0; i < 60; ++i) {
-    table.Update(seed_rng.Next(), P({1}).coords().data(), +1);
+    table.Update(seed_rng.Next(), P({1}).row(0), +1);
   }
   Rng rng(9);
   auto result = table.Decode(1000, 1000, &rng);
@@ -202,16 +206,14 @@ TEST(RibltTest, MixedCancellationWithNoise) {
   const size_t n = 40;
   Riblt table(MakeParams(9 * 8, 2, 100, 3, 77));
   Rng rng(10);
-  PointSet base = GenerateUniform(n, 2, 99, &rng);
+  PointStore base = GenerateUniformStore(n, 2, 99, &rng);
   for (size_t i = 0; i < n; ++i) {
-    table.Update(100 + i, base[i].coords().data(), +1);
-    std::vector<Coord> noisy_coords = base[i].coords();
-    noisy_coords[0] = std::min<Coord>(noisy_coords[0] + 1, 100);
-    Point noisy(std::move(noisy_coords));
-    table.Update(100 + i, noisy.coords().data(), -1);
+    table.Update(100 + i, base.row(i), +1);
+    Coord noisy[2] = {std::min<Coord>(base[i][0] + 1, 100), base[i][1]};
+    table.Update(100 + i, noisy, -1);
   }
-  table.Update(5000, P({1, 2}).coords().data(), +1);   // Alice-only
-  table.Update(6000, P({3, 4}).coords().data(), -1);   // Bob-only
+  table.Update(5000, P({1, 2}).row(0), +1);   // Alice-only
+  table.Update(6000, P({3, 4}).row(0), -1);   // Bob-only
   auto result = table.Decode(8, 4, &rng);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->inserted.size(), 1u);
@@ -223,8 +225,8 @@ TEST(RibltTest, MixedCancellationWithNoise) {
 TEST(RibltTest, SerializationRoundTrip) {
   RibltParams params = MakeParams(36, 2, 50);
   Riblt table(params);
-  table.Update(1, P({10, 20}).coords().data(), +1);
-  table.Update(2, P({30, 40}).coords().data(), -1);
+  table.Update(1, P({10, 20}).row(0), +1);
+  table.Update(2, P({30, 40}).row(0), -1);
   ByteWriter w;
   table.WriteTo(&w);
   ByteReader r(w.buffer());
@@ -246,10 +248,10 @@ TEST(RibltTest, StoreNativeResultPreservesPairSemantics) {
   // and duplicate-key extraction (requirement 5) emits |C| parallel rows of
   // the averaged value. Values 10/20/30 under one key average to exactly 20.
   Riblt table(MakeParams(48, 2, 100, 3, 31));
-  table.Update(9, P({10, 10}).coords().data(), +1);
-  table.Update(9, P({20, 20}).coords().data(), +1);
-  table.Update(9, P({30, 30}).coords().data(), +1);
-  table.Update(77, P({5, 6}).coords().data(), -1);
+  table.Update(9, P({10, 10}).row(0), +1);
+  table.Update(9, P({20, 20}).row(0), +1);
+  table.Update(9, P({30, 30}).row(0), +1);
+  table.Update(77, P({5, 6}).row(0), -1);
   Rng rng(32);
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
@@ -264,7 +266,7 @@ TEST(RibltTest, StoreNativeResultPreservesPairSemantics) {
   ASSERT_EQ(result->deleted.size(), 1u);
   ASSERT_EQ(result->deleted_keys.size(), 1u);
   EXPECT_EQ(result->deleted_keys[0], 77u);
-  EXPECT_EQ(result->deleted.MakePoint(0), P({5, 6}));
+  EXPECT_EQ(result->deleted[0], P({5, 6})[0]);
 }
 
 TEST(RibltTest, StoreNativeErrorPropagationWithMultipleCopies) {
@@ -276,11 +278,11 @@ TEST(RibltTest, StoreNativeErrorPropagationWithMultipleCopies) {
   // integral or both rows round independently but stay within 1).
   for (int trial = 0; trial < 30; ++trial) {
     Riblt table(MakeParams(24, 1, 100, 3, static_cast<uint64_t>(500 + trial)));
-    table.Update(1, P({40}).coords().data(), +1);
+    table.Update(1, P({40}).row(0), +1);
     // Error -20 hidden in key 1's cells.
-    table.Update(1, P({60}).coords().data(), -1);
-    table.Update(2, P({50}).coords().data(), +1);
-    table.Update(2, P({50}).coords().data(), +1);  // C = 2 copies, same value
+    table.Update(1, P({60}).row(0), -1);
+    table.Update(2, P({50}).row(0), +1);
+    table.Update(2, P({50}).row(0), +1);  // C = 2 copies, same value
     Rng rng(static_cast<uint64_t>(600 + trial));
     auto result = table.Decode(10, 10, &rng);
     if (!result.ok()) continue;  // mixed-sign cells can legally jam
@@ -304,8 +306,8 @@ TEST(RibltTest, DecodeIntoReusedResultResetsCompletely) {
   // — including across tables of different dimension — with no residue of
   // the previous contents.
   Riblt wide(MakeParams(48, 3, 50, 3, 41));
-  wide.Update(5, P({1, 2, 3}).coords().data(), +1);
-  wide.Update(6, P({4, 5, 6}).coords().data(), +1);
+  wide.Update(5, P({1, 2, 3}).row(0), +1);
+  wide.Update(6, P({4, 5, 6}).row(0), +1);
   RibltDecodeResult result;
   Rng rng1(42);
   ASSERT_TRUE(wide.DecodeInto(10, 10, &rng1, &result).ok());
@@ -313,7 +315,7 @@ TEST(RibltTest, DecodeIntoReusedResultResetsCompletely) {
   ASSERT_EQ(result.inserted.dim(), 3u);
 
   Riblt narrow(MakeParams(36, 1, 50, 3, 43));
-  narrow.Update(7, P({9}).coords().data(), -1);
+  narrow.Update(7, P({9}).row(0), -1);
   Rng rng2(44);
   ASSERT_TRUE(narrow.DecodeInto(10, 10, &rng2, &result).ok());
   EXPECT_TRUE(result.inserted.empty());
@@ -329,14 +331,14 @@ TEST(RibltTest, FailedDecodeLeavesResultReusable) {
   // the next DecodeInto starts from a clean slate.
   Riblt overloaded(MakeParams(120, 1, 10, 3, 45));
   for (uint64_t k = 0; k < 20; ++k) {
-    overloaded.Update(k + 1, P({1}).coords().data(), +1);
+    overloaded.Update(k + 1, P({1}).row(0), +1);
   }
   RibltDecodeResult result;
   Rng rng1(46);
   EXPECT_FALSE(overloaded.DecodeInto(10, 10, &rng1, &result).ok());
 
   Riblt clean(MakeParams(36, 1, 10, 3, 47));
-  clean.Update(3, P({4}).coords().data(), +1);
+  clean.Update(3, P({4}).row(0), +1);
   Rng rng2(48);
   ASSERT_TRUE(clean.DecodeInto(10, 10, &rng2, &result).ok());
   EXPECT_TRUE(result.complete);
@@ -369,9 +371,9 @@ TEST_P(RibltSizeTest, PaperSizingDecodesReliably) {
     // 2k Alice-only and 2k Bob-only pairs (the protocol's worst case).
     for (size_t i = 0; i < 2 * k; ++i) {
       table.Update(rng.Next(),
-                   GenerateUniform(1, 2, 100, &rng)[0].coords().data(), +1);
+                   GenerateUniformStore(1, 2, 100, &rng).row(0), +1);
       table.Update(rng.Next(),
-                   GenerateUniform(1, 2, 100, &rng)[0].coords().data(), -1);
+                   GenerateUniformStore(1, 2, 100, &rng).row(0), -1);
     }
     auto result = table.Decode(4 * k, 2 * k, &rng);
     if (!result.ok()) {

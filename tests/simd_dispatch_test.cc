@@ -162,7 +162,7 @@ TEST(SimdDispatchTest, AllFamiliesBatchPathsMatchEvalAcrossDims) {
         dim, static_cast<double>(2 * dim)));
     for (size_t n : kSizes) {
       Rng rng(1000 + 64 * dim + n);
-      PointSet points = GenerateUniform(n, dim, 255, &rng);
+      PointStore points = GenerateUniformStore(n, dim, 255, &rng);
       const size_t col_stride = n + 3;
       std::vector<double> cols(dim * col_stride, -7.0);
       std::vector<Coord> arena(n * dim);

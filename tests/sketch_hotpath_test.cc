@@ -94,10 +94,10 @@ TEST(SketchHotPathTest, RibltUpdateDoesNotAllocate) {
   params.seed = 8;
   Riblt table(params);
   Rng rng(9);
-  Point p = GenerateUniform(1, 8, 1023, &rng)[0];
+  PointStore p = GenerateUniformStore(1, 8, 1023, &rng);
   long long before = AllocationCount();
   for (int i = 0; i < 10000; ++i) {
-    table.Update(rng.Next(), p.coords().data(), +1);
+    table.Update(rng.Next(), p.row(0), +1);
   }
   EXPECT_EQ(AllocationCount(), before);
 }

@@ -14,12 +14,14 @@
 #include "core/sync_dataset.h"
 #include "util/random.h"
 #include "util/serialize.h"
+#include "test_points.h"
 #include "workload/generators.h"
 
 namespace rsr {
 namespace {
 
 using ::rsr::testing::AllocationCount;
+using ::rsr::testing::DistinctPool;
 
 EmdProtocolParams MakeParams(size_t d2, size_t shards, size_t threads,
                              uint64_t seed = 77) {
@@ -34,21 +36,6 @@ EmdProtocolParams MakeParams(size_t d2, size_t shards, size_t threads,
   params.num_threads = threads;
   params.seed = seed;
   return params;
-}
-
-/// `count` distinct rows in a deterministic shuffled order (distinct rows =>
-/// distinct content-hash keys, which Create requires).
-PointStore DistinctPool(size_t count, uint64_t seed) {
-  Rng rng(seed);
-  PointSet points = GenerateUniform(count * 2, 3, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  RSR_CHECK(points.size() >= count);
-  points.resize(count);
-  for (size_t i = points.size(); i > 1; --i) {
-    std::swap(points[i - 1], points[rng.Below(i)]);
-  }
-  return PointStore::FromPointSet(3, points);
 }
 
 /// The core invariant: maintained cells == cold-build cells, byte for byte.
@@ -115,15 +102,15 @@ TEST(SyncDatasetTest, IncrementalMatchesColdBuildAcrossConfigs) {
         ExpectMatchesColdBuild(*ds, params);
 
         // The surviving rows are exactly (initial u inserts) \ deletions.
-        PointSet want;
+        PointStore want(3);
         for (size_t i = 18; i < 116; ++i) {
           if (i == 100) continue;
-          want.push_back(pool.MakePoint(i));
+          want.Append(pool[i]);
         }
-        for (size_t i = 118; i < 136; ++i) want.push_back(pool.MakePoint(i));
-        std::sort(want.begin(), want.end());
-        PointSet got = ds->rows().ToPointSet();
-        std::sort(got.begin(), got.end());
+        for (size_t i = 118; i < 136; ++i) want.Append(pool[i]);
+        want.SortLex();
+        PointStore got = ds->rows();
+        got.SortLex();
         EXPECT_EQ(got, want);
       }
     }

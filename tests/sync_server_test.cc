@@ -14,10 +14,13 @@
 #include "core/sync_server.h"
 #include "util/random.h"
 #include "util/serialize.h"
+#include "test_points.h"
 #include "workload/generators.h"
 
 namespace rsr {
 namespace {
+
+using ::rsr::testing::DistinctPool;
 
 EmdProtocolParams ServerParams(uint64_t seed = 31) {
   EmdProtocolParams params;
@@ -29,19 +32,6 @@ EmdProtocolParams ServerParams(uint64_t seed = 31) {
   params.d2 = 8;
   params.seed = seed;
   return params;
-}
-
-PointStore DistinctPool(size_t count, uint64_t seed) {
-  Rng rng(seed);
-  PointSet points = GenerateUniform(count * 2, 3, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  RSR_CHECK(points.size() >= count);
-  points.resize(count);
-  for (size_t i = points.size(); i > 1; --i) {
-    std::swap(points[i - 1], points[rng.Below(i)]);
-  }
-  return PointStore::FromPointSet(3, points);
 }
 
 TEST(SyncServerTest, SessionMatchesOneShotProtocol) {
