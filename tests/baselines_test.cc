@@ -153,6 +153,21 @@ TEST(NaiveTest, EmptyAliceShipsOnlyTheCount) {
   EXPECT_EQ(unioned.s_b_prime, b.ToPointSet());
 }
 
+TEST(NaiveTest, MessageIsCountThenStoreBytes) {
+  // Negative coordinates, multi-byte varints and a duplicate row: Bob parses
+  // Alice's rows back in order from a varint count and the store's bytes.
+  PointStore a = StoreOf(3, {{-1, 0, 300}, {5, -70000, 2}, {-1, 0, 300}});
+  PointStore b = StoreOf(3, {{9, 9, 9}});
+  NaiveReport report = RunNaiveFullTransfer(a, b, /*union_mode=*/false);
+  ByteWriter want;
+  want.PutVarint64(a.size());
+  a.WriteTo(&want);
+  ASSERT_EQ(report.comm.messages.size(), 1u);
+  EXPECT_EQ(report.comm.messages[0].label, "A->B full point set");
+  EXPECT_EQ(report.comm.messages[0].bytes, want.size_bytes());
+  EXPECT_EQ(report.s_b_prime, a.ToPointSet());
+}
+
 // ------------------------------------------------------------ exact IBLT --
 
 TEST(ExactReconTest, RecoversExactDifferences) {

@@ -49,6 +49,25 @@ TEST(FallbackTest, FullTransferWhenSigSketchCannotDecode) {
   EXPECT_TRUE(SameMultiset(report->bob_sets, bob));
 }
 
+TEST(FallbackTest, FullTransferShipsBobsSetsInOrder) {
+  Rng rng(1);
+  auto alice = RandomSets(10, 6, &rng);
+  auto bob = RandomSets(40, 6, &rng);
+  SetsReconcilerParams params;
+  params.mode = SetsReconcilerMode::kVerbatim;
+  params.sig_cells = 8;
+  params.max_attempts = 1;
+  params.seed = 2;
+  auto report = ReconcileSetsOfSets(alice, bob, params);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->full_transfer);
+  const MessageRecord& last = report->comm.messages.back();
+  EXPECT_EQ(last.label, "B->A full-transfer");
+  // A count varint, then 6 u32 slots for each of Bob's 40 sets.
+  EXPECT_EQ(last.bytes, 1 + 40 * 6 * 4);
+  EXPECT_EQ(report->bob_sets, bob);
+}
+
 TEST(FallbackTest, OneBitFingerprintsForceFallbackYetStayCorrect) {
   // 1-bit fingerprints make nearly every candidate ambiguous; the DFS either
   // resolves via the 64-bit signature or the set is fetched verbatim. Either
@@ -89,6 +108,32 @@ TEST(FallbackTest, ZeroDfsBudgetFallsBackForEverySet) {
   auto report = ReconcileSetsOfSets(alice, bob, params);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->fallback_sets, report->diff_sets_bob);
+  EXPECT_TRUE(SameMultiset(report->bob_sets, bob));
+}
+
+TEST(FallbackTest, FallbackSetsShipWithoutACount) {
+  // Alice's fallback request carries the count, so Bob's reply is only the
+  // requested sets' slots (8 u32 each).
+  Rng rng(5);
+  auto alice = RandomSets(20, 8, &rng);
+  std::vector<SlottedSet> bob = alice;
+  for (size_t i = 0; i < 5; ++i) {
+    bob[i][rng.Below(8)] = static_cast<uint32_t>(rng.Below(1u << 30));
+  }
+  SetsReconcilerParams params;
+  params.mode = SetsReconcilerMode::kFingerprint;
+  params.sig_cells = 64;
+  params.elem_cells = 256;
+  params.dfs_budget = 0;
+  params.seed = 6;
+  auto report = ReconcileSetsOfSets(alice, bob, params);
+  ASSERT_TRUE(report.ok());
+  ASSERT_GT(report->fallback_sets, 0u);
+  const auto& messages = report->comm.messages;
+  ASSERT_GE(messages.size(), 2u);
+  EXPECT_EQ(messages[messages.size() - 2].label, "A->B fallback-request");
+  EXPECT_EQ(messages.back().label, "B->A fallback-sets");
+  EXPECT_EQ(messages.back().bytes, report->fallback_sets * 8 * 4);
   EXPECT_TRUE(SameMultiset(report->bob_sets, bob));
 }
 

@@ -269,6 +269,24 @@ TEST(ReconcilerTest, RejectsMismatchedSlotCounts) {
       "");
 }
 
+TEST(ReconcilerTest, VerbatimModeShipsRequestedSetsAsSlotWords) {
+  Rng rng(13);
+  auto alice = RandomSets(30, 5, &rng);
+  std::vector<SlottedSet> bob = alice;
+  for (size_t i = 0; i < 7; ++i) bob[i][rng.Below(5)] ^= 1u;
+  auto report = ReconcileSetsOfSets(
+      alice, bob, MakeParams(SetsReconcilerMode::kVerbatim, 14));
+  ASSERT_TRUE(report.ok());
+  ASSERT_FALSE(report->full_transfer);
+  EXPECT_EQ(report->diff_sets_bob, 7u);
+  ASSERT_FALSE(report->comm.messages.empty());
+  const MessageRecord& last = report->comm.messages.back();
+  EXPECT_EQ(last.label, "B->A diff-sets");
+  // A count varint, then 5 u32 slots per requested set.
+  EXPECT_EQ(last.bytes, 1 + 7 * 5 * 4);
+  EXPECT_TRUE(SameMultiset(report->bob_sets, bob));
+}
+
 TEST(ReconcilerTest, ReportsRoundCount) {
   Rng rng(12);
   auto sets = RandomSets(20, 4, &rng);
