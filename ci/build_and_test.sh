@@ -75,7 +75,7 @@ fi
 # SimdDispatchTest.DispatchMatchesCpuAndOverride fails that leg if AVX2 was
 # compiled but the dispatcher never selected it). Both legs run the full
 # suite, so the adaptive warm-serving tests (fold byte-identity in
-# RibltFoldTest/IbltFoldTest/FoldEmdSketchesTest, ladder negotiation in
+# RibltFoldTest/CellTableFoldTest/FoldEmdSketchesTest, ladder negotiation in
 # RoundUpToLadderTest/EmdAdaptiveTest, and the SyncServerAdaptiveTest
 # session-vs-cold transcript identity) are exercised under both kernel
 # dispatches — the fold path consumes tables the dispatched kernels built.
@@ -84,15 +84,16 @@ RSR_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j \
   --timeout "${CTEST_TIMEOUT}"
 
 # Third leg, mirroring the scalar pattern for the wire layer: the
-# serialization, fold, and hardening suites re-run with the process-wide
-# default codec flipped to compact (RSR_WIRE_CODEC is read once by
-# DefaultWireCodec()). The default legs above pin kClassic byte identity
-# (golden fixtures, transcript-identity tests); this leg proves every
-# codec-dispatched WriteTo/ReadFrom pair, the fold-then-serialize path, and
-# the corruption hardening hold when kCompact is the negotiated default.
+# serialization, fold, hardening and adaptive-negotiation suites re-run with
+# the process-wide default codec flipped to compact (RSR_WIRE_CODEC is read
+# once by DefaultWireCodec()). The default legs above pin kClassic byte
+# identity (golden fixtures, transcript-identity tests); this leg proves
+# every codec-dispatched WriteTo/ReadFrom pair, the fold-then-serialize path,
+# the negotiation round's compact header, and the corruption hardening hold
+# when kCompact is the negotiated default.
 echo "==== Release tests, RSR_WIRE_CODEC=compact (compact codec leg) ===="
 RSR_WIRE_CODEC=compact ctest --test-dir build --output-on-failure -j \
-  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync'
+  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync|Adaptive'
 
 if [[ "${RSR_BENCH:-0}" == "1" && ! -x build/bench_micro ]]; then
   echo "error: RSR_BENCH=1 but build/bench_micro was not produced" >&2
@@ -118,7 +119,7 @@ RSR_FORCE_SCALAR=1 ctest --test-dir build-asan --output-on-failure -j \
 # bit-packed reader cannot hide behind the classic-arm default.
 echo "==== ASan/UBSan tests, RSR_WIRE_CODEC=compact (compact codec leg) ===="
 RSR_WIRE_CODEC=compact ctest --test-dir build-asan --output-on-failure -j \
-  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync'
+  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync|Adaptive'
 
 # TSan gates the concurrent mutate-while-sync serving path (snapshots handed
 # out under churn — SyncServerTest.ConcurrentChurnAndSync plus the adaptive

@@ -122,18 +122,21 @@ std::vector<size_t> NegotiateLevelCells(
   return cells;
 }
 
-Result<std::vector<size_t>> NegotiateLevelSketchCellsPrebuilt(
+Result<std::vector<size_t>> NegotiateSketchCells(
     const std::vector<StrataEstimator>& sender_estimators,
-    std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
+    std::span<const uint64_t> receiver_keys,
     const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
-    size_t cap_cells, int table_hashes, size_t num_threads,
-    Transcript* transcript, const std::string& label, WireCodec codec) {
-  if (sender_estimators.size() != levels) {
+    CellRounding rounding, size_t cap_cells, int table_hashes,
+    size_t num_threads, Transcript* transcript, const std::string& label,
+    WireCodec codec) {
+  const size_t levels = sender_estimators.size();
+  if (levels == 0 || receiver_keys.size() % levels != 0) {
     return Status::InvalidArgument(
-        "sender estimator count does not match the level count");
+        "receiver keys must split into one equal span per sender estimator");
   }
-  std::vector<StrataEstimator> receiver_estimators = BuildLevelEstimators(
-      receiver_keys, levels, n, params, seed, num_threads);
+  std::vector<StrataEstimator> receiver_estimators =
+      BuildLevelEstimators(receiver_keys, levels, receiver_keys.size() / levels,
+                           params, seed, num_threads);
   ByteWriter estimator_msg;
   // A compact exchange announces itself on its first message — here, the
   // estimator round (the static path writes it on the sketch message).
@@ -150,56 +153,8 @@ Result<std::vector<size_t>> NegotiateLevelSketchCellsPrebuilt(
       ReadEstimators(&estimator_reader, params, seed, levels, codec));
   RSR_RETURN_NOT_OK(estimator_reader.FinishAndCheckConsumed());
   return NegotiateLevelCells(sender_estimators, received, cells_per_diff,
-                             params.floor_cells, cap_cells, params.rounding,
+                             params.floor_cells, cap_cells, rounding,
                              table_hashes, num_threads);
-}
-
-Result<std::vector<size_t>> NegotiateLevelSketchCells(
-    std::span<const uint64_t> sender_keys,
-    std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
-    const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
-    size_t cap_cells, int table_hashes, size_t num_threads,
-    Transcript* transcript, const std::string& label, WireCodec codec) {
-  // The cold path IS the prebuilt path with freshly built sender estimators:
-  // sharing the body is what guarantees warm serving's negotiation round and
-  // chosen sizes match the one-shot protocol's byte for byte.
-  std::vector<StrataEstimator> sender_estimators = BuildLevelEstimators(
-      sender_keys, levels, n, params, seed, num_threads);
-  return NegotiateLevelSketchCellsPrebuilt(
-      sender_estimators, receiver_keys, levels, n, params, seed,
-      cells_per_diff, cap_cells, table_hashes, num_threads, transcript, label,
-      codec);
-}
-
-Result<size_t> NegotiateSingleSketchCells(std::span<const uint64_t> sender_keys,
-                                          std::span<const uint64_t> receiver_keys,
-                                          const AdaptiveSizingParams& params,
-                                          uint64_t seed, size_t cap_cells,
-                                          Transcript* transcript,
-                                          const std::string& label,
-                                          WireCodec codec) {
-  const StrataParams estimator_params = MakeLevelStrataParams(params, seed, 0);
-  StrataEstimator receiver_estimator(estimator_params);
-  receiver_estimator.InsertMany(receiver_keys);
-  ByteWriter estimator_msg;
-  if (codec != WireCodec::kClassic) WriteWireHeader(codec, &estimator_msg);
-  receiver_estimator.WriteTo(&estimator_msg, codec);
-  transcript->Send(label, estimator_msg, codec);
-
-  ByteReader estimator_reader(estimator_msg.buffer());
-  if (codec != WireCodec::kClassic) {
-    RSR_RETURN_NOT_OK(ExpectWireHeader(codec, &estimator_reader));
-  }
-  RSR_ASSIGN_OR_RETURN(
-      StrataEstimator received,
-      StrataEstimator::ReadFrom(&estimator_reader, estimator_params, codec));
-  RSR_RETURN_NOT_OK(estimator_reader.FinishAndCheckConsumed());
-  StrataEstimator sender_estimator(estimator_params);
-  sender_estimator.InsertMany(sender_keys);
-  Result<uint64_t> estimate = sender_estimator.EstimateDiff(received);
-  if (!estimate.ok()) return cap_cells;  // incomparable: static sizing
-  return AdaptiveCellCount(*estimate, params.cell_multiplier,
-                           params.floor_cells, cap_cells);
 }
 
 void WriteNegotiatedCells(const std::vector<size_t>& cells, ByteWriter* w) {

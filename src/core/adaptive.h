@@ -5,17 +5,22 @@
 // set-of-sets reconciler and the exact-IBLT baseline at caller-guessed cell
 // counts — so a sync whose true difference is 10 pairs paid the same
 // communication as one with 4k. This module adds an optional negotiation
-// phase in the Eppstein et al. style: the sketch RECEIVER first sends a
-// StrataEstimator over its keys (one estimator per sketch, sharing one wire
-// message), the sketch SENDER estimates each sketch's difference via
-// StrataEstimator::EstimateDiff, sizes the sketch to
+// phase in the Eppstein et al. style, written once (NegotiateSketchCells)
+// for every consumer: one round, in which the sketch RECEIVER sends first —
+// one StrataEstimator per sketch level over its keys, sharing one wire
+// message — and the sketch SENDER estimates each level's difference via
+// StrataEstimator::EstimateDiff against estimators it already holds and
+// sizes the level to
 //
 //     clamp(cells_per_diff * estimate, floor_cells, cap_cells)
 //
 // cells — where cap_cells is exactly the static sizing, so adaptive can
 // never provision MORE than the legacy path — and prepends the chosen sizes
-// to its sketch message so the receiver can parse. The extra message is a
-// real round, recorded in the Transcript like any other.
+// to its sketch message so the receiver can parse. The EMD protocol
+// negotiates one size per RIBLT level; the single-sketch consumers (the
+// reconciler's signature IBLT, the exact baseline) are the levels = 1 case.
+// The extra message is a real round, recorded in the Transcript like any
+// other.
 //
 // Correctness never depends on the estimate: an undersized sketch fails to
 // decode exactly as an overloaded static one does, and each consumer keeps
@@ -100,7 +105,7 @@ std::vector<StrataEstimator> BuildLevelEstimators(
 /// Serializes all estimators into one message (concatenated strata; the
 /// count and parameters are shared knowledge, like every sketch format in
 /// this library). The one-byte wire header of a compact exchange is NOT
-/// written here — the negotiation entry points own it, since the estimator
+/// written here — NegotiateSketchCells owns it, since the estimator
 /// message is the exchange's first message only on the adaptive path.
 void WriteEstimators(const std::vector<StrataEstimator>& estimators,
                      ByteWriter* w, WireCodec codec = DefaultWireCodec());
@@ -140,54 +145,27 @@ std::vector<size_t> NegotiateLevelCells(
     size_t floor_cells, size_t cap_cells, CellRounding rounding,
     int table_hashes, size_t num_threads);
 
-/// Single-sketch negotiation (the reconciler's signature IBLT, the exact
-/// baseline): builds the receiver-side estimator over `receiver_keys`,
-/// records it as one message on `transcript` under `label`, parses it back
-/// off the wire, compares against the sender-side estimator over
-/// `sender_keys`, and returns clamp(cell_multiplier * estimate, floor, cap)
-/// — cap_cells when the estimate is unavailable. How the sender communicates
-/// the chosen size back (separate message vs sketch-message prefix) stays
-/// with the caller.
-/// The estimator message opens the exchange, so under kCompact it carries
-/// the versioned wire header (util/wire.h) which the parsing side validates.
-Result<size_t> NegotiateSingleSketchCells(std::span<const uint64_t> sender_keys,
-                                          std::span<const uint64_t> receiver_keys,
-                                          const AdaptiveSizingParams& params,
-                                          uint64_t seed, size_t cap_cells,
-                                          Transcript* transcript,
-                                          const std::string& label,
-                                          WireCodec codec = DefaultWireCodec());
-
-/// Multi-level analogue of NegotiateSingleSketchCells (the EMD protocol):
-/// the receiver builds one estimator per level over its level-major keys
-/// (receiver_keys[l*n .. l*n+n)) and ships them as one message recorded
-/// under `label`; the sender parses them off the wire, builds its own
-/// estimators, and returns the per-level counts from NegotiateLevelCells
-/// (params.rounding applied against `table_hashes`-subtable tables).
-/// Communicating the chosen sizes back (the sketch-message prefix) stays
-/// with the caller. Deterministic for every num_threads.
-Result<std::vector<size_t>> NegotiateLevelSketchCells(
-    std::span<const uint64_t> sender_keys,
-    std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
-    const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
-    size_t cap_cells, int table_hashes, size_t num_threads,
-    Transcript* transcript, const std::string& label,
-    WireCodec codec = DefaultWireCodec());
-
-/// NegotiateLevelSketchCells with the sender's estimators already built —
-/// the warm serving path, where SyncDataset maintains one estimator per
-/// level incrementally (byte-identical to cold builds) and a session must
-/// not spend O(n) rebuilding them. The receiver side is unchanged (its
-/// estimators are built from `receiver_keys` and shipped on `transcript`),
-/// so the recorded round — and, since maintained estimators equal cold ones,
-/// the negotiated counts — are byte-identical to the cold entry point.
-/// Requires sender_estimators.size() == levels.
-Result<std::vector<size_t>> NegotiateLevelSketchCellsPrebuilt(
+/// The negotiation round, shared by every consumer: the sketch RECEIVER
+/// builds one estimator per level over its level-major keys (level l covers
+/// receiver_keys[l*n .. l*n + n), n = receiver_keys.size() / levels) and
+/// ships them as the exchange's first message, recorded on `transcript`
+/// under `label` (under kCompact it carries the versioned wire header of
+/// util/wire.h, which the parsing side validates); the SENDER parses them off
+/// the wire and returns NegotiateLevelCells against `sender_estimators`,
+/// which it already holds: levels = sender_estimators.size(). The EMD
+/// protocol passes its per-level estimators (cold: BuildLevelEstimators;
+/// warm: the snapshot's maintained ones, by reference, never rebuilt). The
+/// single-sketch consumers (the reconciler's signature IBLT, the exact
+/// baseline) pass levels = 1, cells_per_diff = cell_multiplier and kExact.
+/// Communicating the chosen sizes back (a separate message or the
+/// sketch-message prefix) stays with the caller. Deterministic for every
+/// num_threads.
+Result<std::vector<size_t>> NegotiateSketchCells(
     const std::vector<StrataEstimator>& sender_estimators,
-    std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
+    std::span<const uint64_t> receiver_keys,
     const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
-    size_t cap_cells, int table_hashes, size_t num_threads,
-    Transcript* transcript, const std::string& label,
+    CellRounding rounding, size_t cap_cells, int table_hashes,
+    size_t num_threads, Transcript* transcript, const std::string& label,
     WireCodec codec = DefaultWireCodec());
 
 /// Sizes prefix on the sketch message: one varint per level.

@@ -217,14 +217,17 @@ Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
   std::vector<size_t> level_cells(derived.levels, derived.cells);
   if (params.adaptive.enabled) {
     const double q = static_cast<double>(params.num_hashes);
+    const std::vector<StrataEstimator> alice_estimators =
+        BuildLevelEstimators(alice_keys, derived.levels, n, params.adaptive,
+                             params.seed, params.num_threads);
     RSR_ASSIGN_OR_RETURN(
         level_cells,
-        NegotiateLevelSketchCells(alice_keys, bob_keys, derived.levels, n,
-                                  params.adaptive, params.seed,
-                                  params.adaptive.cell_multiplier * q * q,
-                                  derived.cells, params.num_hashes,
-                                  params.num_threads, &transcript,
-                                  "B->A level strata", params.codec));
+        NegotiateSketchCells(alice_estimators, bob_keys, params.adaptive,
+                             params.seed,
+                             params.adaptive.cell_multiplier * q * q,
+                             params.adaptive.rounding, derived.cells,
+                             params.num_hashes, params.num_threads,
+                             &transcript, "B->A level strata", params.codec));
   }
 
   // ---- Alice: build the t RIBLTs at the provisioned sizes. ----
@@ -301,11 +304,12 @@ Result<EmdProtocolReport> RunEmdProtocolPrebuilt(
   const double q = static_cast<double>(params.num_hashes);
   RSR_ASSIGN_OR_RETURN(
       level_cells,
-      NegotiateLevelSketchCellsPrebuilt(
-          alice.estimators, bob_keys, derived.levels, n, params.adaptive,
-          params.seed, params.adaptive.cell_multiplier * q * q, derived.cells,
-          params.num_hashes, params.num_threads, &transcript,
-          "B->A level strata", params.codec));
+      NegotiateSketchCells(alice.estimators, bob_keys, params.adaptive,
+                           params.seed,
+                           params.adaptive.cell_multiplier * q * q,
+                           params.adaptive.rounding, derived.cells,
+                           params.num_hashes, params.num_threads, &transcript,
+                           "B->A level strata", params.codec));
   EmdServeScratch local_scratch;
   EmdServeScratch* serve = scratch != nullptr ? scratch : &local_scratch;
   RSR_RETURN_NOT_OK(FoldEmdSketches(alice, level_cells, params, serve));

@@ -15,6 +15,39 @@ namespace rsr {
 
 namespace internal {
 
+Status CheckGapInputs(const PointStore& alice, const PointStore& bob,
+                      size_t dim, Coord delta) {
+  if (alice.empty() && bob.empty()) {
+    return Status::InvalidArgument("both point sets empty");
+  }
+  if (dim == 0) return Status::InvalidArgument("dim must be positive");
+  ValidatePointStore(alice, dim, delta);
+  ValidatePointStore(bob, dim, delta);
+  return Status::OK();
+}
+
+SetsReconcilerParams SizeGapReconciler(SetsReconcilerParams reconciler,
+                                       size_t h, size_t n, size_t k,
+                                       double entry_diff_rate, uint64_t seed,
+                                       uint64_t seed_salt) {
+  const double hd = static_cast<double>(h);
+  const double nd = static_cast<double>(n);
+  const double kd = static_cast<double>(k);
+  const double expected_diff_sets =
+      2.0 * (kd + nd * std::min(1.0, hd * entry_diff_rate));
+  const double expected_diff_elems = 2.0 * hd * (kd + nd * entry_diff_rate);
+  if (reconciler.sig_cells == 0) {
+    reconciler.sig_cells =
+        std::max<size_t>(64, static_cast<size_t>(2.5 * expected_diff_sets));
+  }
+  if (reconciler.elem_cells == 0) {
+    reconciler.elem_cells =
+        std::max<size_t>(128, static_cast<size_t>(2.5 * expected_diff_elems));
+  }
+  if (reconciler.seed == 0) reconciler.seed = HashCombine(seed, seed_salt);
+  return reconciler;
+}
+
 Result<size_t> KeyLength(double h_real, size_t min_h) {
   const double h = std::ceil(h_real);
   if (!(h >= 0 && h < static_cast<double>(kMaxSlots))) {
@@ -107,19 +140,27 @@ FarKeys FindFarKeys(const std::vector<SlottedSet>& alice_keys,
   return result;
 }
 
-Result<GapPipelineResult> RunGapPipeline(
-    const PointStore& alice, const PointStore& bob,
-    const std::vector<std::unique_ptr<LshFunction>>& functions,
-    const GapPipelineConfig& config) {
-  RSR_CHECK_EQ(functions.size(), config.h * config.m);
-  RSR_CHECK(config.h >= 1 && config.h < kMaxSlots);
+Result<GapProtocolReport> RunGapPipeline(const PointStore& alice,
+                                         const PointStore& bob,
+                                         const LshFamily& family,
+                                         const GapDerived& derived,
+                                         const SetsReconcilerParams& reconciler,
+                                         size_t num_threads, uint64_t seed) {
+  const size_t h = derived.h;
+  const size_t m = derived.m;
+  RSR_CHECK(h >= 1 && h < kMaxSlots);
+
+  // Public coins: draw the h*m LSH functions from the shared seed.
+  Rng shared(seed);
+  const std::vector<std::unique_ptr<LshFunction>> functions =
+      DrawMany(family, h * m, &shared);
 
   // Batch hashes: one pairwise-independent vector hash per key entry.
-  Rng shared(Mix64(config.seed) ^ 0x6a9);
+  Rng batch_rng(Mix64(seed) ^ 0x6a9);
   std::vector<PairwiseVectorHash> batch_hashes;
-  batch_hashes.reserve(config.h);
-  for (size_t j = 0; j < config.h; ++j) {
-    batch_hashes.push_back(PairwiseVectorHash::Draw(&shared));
+  batch_hashes.reserve(h);
+  for (size_t j = 0; j < h; ++j) {
+    batch_hashes.push_back(PairwiseVectorHash::Draw(&batch_rng));
   }
 
   // Batch pipeline: one row-major n x (h*m) evaluation matrix (one virtual
@@ -129,18 +170,18 @@ Result<GapPipelineResult> RunGapPipeline(
   auto build_keys = [&](const PointStore& points) {
     const size_t n_points = points.size();
     std::vector<SlottedSet> keys(n_points);
-    for (auto& key : keys) key.resize(config.h);
+    for (auto& key : keys) key.resize(h);
     EvalMatrix evals;
-    EvaluateAllInto(points, functions, config.num_threads, &evals);
-    const size_t cols = config.h * config.m;
-    for (const auto& h : batch_hashes) h.Reserve(config.m);  // thread safety
-    ParallelShards(n_points, config.num_threads,
+    EvaluateAllInto(points, functions, num_threads, &evals);
+    const size_t cols = h * m;
+    for (const auto& hash : batch_hashes) hash.Reserve(m);  // thread safety
+    ParallelShards(n_points, num_threads,
                    [&](size_t begin, size_t end) {
                      std::vector<uint64_t> slot_keys(end - begin);
-                     for (size_t j = 0; j < config.h; ++j) {
+                     for (size_t j = 0; j < h; ++j) {
                        batch_hashes[j].EvalBatch(
-                           evals.data() + begin * cols + j * config.m,
-                           end - begin, cols, config.m, slot_keys.data());
+                           evals.data() + begin * cols + j * m,
+                           end - begin, cols, m, slot_keys.data());
                        // Theta(log n)-bit entries: truncate the 61-bit hash
                        // to 32 bits.
                        for (size_t i = begin; i < end; ++i) {
@@ -156,19 +197,18 @@ Result<GapPipelineResult> RunGapPipeline(
   std::vector<SlottedSet> bob_keys = build_keys(bob);
 
   // ---- Rounds 1-3: Alice recovers the multiset of Bob's keys. ----
-  GapPipelineResult result;
-  RSR_ASSIGN_OR_RETURN(
-      result.reconciliation,
-      ReconcileSetsOfSets(alice_keys, bob_keys, config.reconciler));
-  result.comm.Append(result.reconciliation.comm);
-  const std::vector<SlottedSet>& bob_recovered = result.reconciliation.bob_sets;
+  GapProtocolReport report;
+  report.derived = derived;
+  RSR_ASSIGN_OR_RETURN(report.reconciliation,
+                       ReconcileSetsOfSets(alice_keys, bob_keys, reconciler));
+  report.comm.Append(report.reconciliation.comm);
+  const std::vector<SlottedSet>& bob_recovered = report.reconciliation.bob_sets;
 
   // ---- Far detection: keys no Bob key matches in >= tau entries. ----
-  const FarKeys far =
-      FindFarKeys(alice_keys, bob_recovered, config.h, config.tau);
-  result.far_keys = far.far_keys;
-  result.transmitted.reserve(far.rows.size());
-  for (size_t i : far.rows) result.transmitted.push_back(alice.MakePoint(i));
+  const FarKeys far = FindFarKeys(alice_keys, bob_recovered, h, derived.tau);
+  report.far_keys = far.far_keys;
+  report.transmitted.reserve(far.rows.size());
+  for (size_t i : far.rows) report.transmitted.push_back(alice.MakePoint(i));
 
   // ---- Round 4: Alice transmits T_A. ----
   ByteWriter message;
@@ -176,7 +216,7 @@ Result<GapPipelineResult> RunGapPipeline(
   for (size_t i : far.rows) alice.WritePointTo(&message, i);
   Transcript transcript;
   transcript.Send("A->B far elements", message);
-  result.comm.Append(transcript.stats());
+  report.comm.Append(transcript.stats());
 
   // Bob: S'_B = S_B ∪ T_A (parsed from the wire).
   // Rows are read at Alice's dimension, and the wire count is bounded by the
@@ -184,16 +224,16 @@ Result<GapPipelineResult> RunGapPipeline(
   // points, hence a dimension.
   ByteReader reader(message.buffer());
   const uint64_t count = reader.GetVarint64();
-  result.s_b_prime = bob.ToPointSet();
+  report.s_b_prime = bob.ToPointSet();
   if (count > 0) {
     const PointStore received =
         PointStore::ReadFrom(&reader, alice.dim(), static_cast<size_t>(count));
     for (size_t i = 0; i < received.size(); ++i) {
-      result.s_b_prime.push_back(received.MakePoint(i));
+      report.s_b_prime.push_back(received.MakePoint(i));
     }
   }
   RSR_RETURN_NOT_OK(reader.FinishAndCheckConsumed());
-  return result;
+  return report;
 }
 
 }  // namespace internal
@@ -201,20 +241,14 @@ Result<GapPipelineResult> RunGapPipeline(
 Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
                                          const PointStore& bob,
                                          const GapProtocolParams& params) {
-  if (alice.empty() && bob.empty()) {
-    return Status::InvalidArgument("both point sets empty");
-  }
-  if (params.dim == 0) return Status::InvalidArgument("dim must be positive");
-  ValidatePointStore(alice, params.dim, params.delta);
-  ValidatePointStore(bob, params.dim, params.delta);
-
+  RSR_RETURN_NOT_OK(
+      internal::CheckGapInputs(alice, bob, params.dim, params.delta));
   const size_t n = std::max(alice.size(), bob.size());
 
-  GapProtocolReport report;
   RSR_ASSIGN_OR_RETURN(GapLshConfig lsh,
                        MakeGapLsh(params.metric, params.dim, params.r1,
                                   params.r2));
-  GapDerived& derived = report.derived;
+  GapDerived derived;
   derived.p1 = lsh.lsh.p1;
   derived.p2 = lsh.lsh.p2;
   derived.rho = lsh.lsh.rho();
@@ -237,50 +271,13 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
   // Chernoff midpoint of the two expectations is the natural generalization.
   derived.tau = static_cast<double>(derived.h) * (derived.q1 + derived.q2) / 2.0;
 
-  // Auto-size the reconciler sketches from the expected differences.
-  internal::GapPipelineConfig config;
-  config.h = derived.h;
-  config.m = derived.m;
-  config.tau = derived.tau;
-  config.reconciler = params.reconciler;
-  config.num_threads = params.num_threads;
-  config.seed = params.seed;
-  double expect_entry_diff_rate = 1.0 - derived.q1;  // per close-pair entry
-  double expected_diff_sets =
-      2.0 * (static_cast<double>(params.k) +
-             static_cast<double>(n) *
-                 std::min(1.0, static_cast<double>(derived.h) *
-                                   expect_entry_diff_rate));
-  double expected_diff_elems =
-      2.0 * static_cast<double>(derived.h) *
-      (static_cast<double>(params.k) +
-       static_cast<double>(n) * expect_entry_diff_rate);
-  if (config.reconciler.sig_cells == 0) {
-    config.reconciler.sig_cells =
-        std::max<size_t>(64, static_cast<size_t>(2.5 * expected_diff_sets));
-  }
-  if (config.reconciler.elem_cells == 0) {
-    config.reconciler.elem_cells =
-        std::max<size_t>(128, static_cast<size_t>(2.5 * expected_diff_elems));
-  }
-  if (config.reconciler.seed == 0) {
-    config.reconciler.seed = HashCombine(params.seed, 0x5e75ULL);
-  }
-
-  // Public coins: draw the h*m LSH functions from the shared seed.
-  Rng shared(params.seed);
-  std::vector<std::unique_ptr<LshFunction>> functions =
-      DrawMany(*lsh.family, derived.h * derived.m, &shared);
-
-  RSR_ASSIGN_OR_RETURN(
-      internal::GapPipelineResult pipeline,
-      internal::RunGapPipeline(alice, bob, functions, config));
-  report.s_b_prime = std::move(pipeline.s_b_prime);
-  report.transmitted = std::move(pipeline.transmitted);
-  report.far_keys = pipeline.far_keys;
-  report.reconciliation = std::move(pipeline.reconciliation);
-  report.comm = std::move(pipeline.comm);
-  return report;
+  // A close pair's entry differs with probability 1 - q1.
+  const SetsReconcilerParams reconciler = internal::SizeGapReconciler(
+      params.reconciler, derived.h, n, params.k, 1.0 - derived.q1,
+      params.seed, 0x5e75ULL);
+  return internal::RunGapPipeline(alice, bob, *lsh.family, derived,
+                                  reconciler, params.num_threads,
+                                  params.seed);
 }
 
 }  // namespace rsr

@@ -77,25 +77,22 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
 
 namespace internal {
 
-/// Shared pipeline for the general and low-dimension variants: key
-/// construction from `functions` (h batches of m), reconciliation, far
-/// detection at threshold tau, final transmission.
-struct GapPipelineConfig {
-  size_t h = 0;
-  size_t m = 0;
-  double tau = 0;
-  SetsReconcilerParams reconciler;
-  size_t num_threads = 1;
-  uint64_t seed = 0;
-};
+/// The input checks both variants make first, before deriving anything or
+/// drawing LSH functions: InvalidArgument when both stores are empty or dim
+/// is 0; every row must have `dim` coordinates in [0, delta] (checked).
+Status CheckGapInputs(const PointStore& alice, const PointStore& bob,
+                      size_t dim, Coord delta);
 
-struct GapPipelineResult {
-  PointSet s_b_prime;
-  PointSet transmitted;
-  size_t far_keys = 0;
-  SetsReconcilerReport reconciliation;
-  CommStats comm;
-};
+/// Auto-sizes the reconciler for both variants: sig/elem cell counts left at
+/// 0 are sized from the expected differences of n points per party, of
+/// which k are far and the rest differ in each of their h key entries with
+/// probability entry_diff_rate; a zero reconciler seed becomes
+/// HashCombine(seed, seed_salt). Each variant passes its own n, rate and
+/// salt.
+SetsReconcilerParams SizeGapReconciler(SetsReconcilerParams reconciler,
+                                       size_t h, size_t n, size_t k,
+                                       double entry_diff_rate, uint64_t seed,
+                                       uint64_t seed_salt);
 
 /// The key length h = max(min_h, ceil(h_real)). InvalidArgument when h_real
 /// is NaN, negative or infinite, or h reaches kMaxSlots; the entry points
@@ -118,10 +115,17 @@ FarKeys FindFarKeys(const std::vector<SlottedSet>& alice_keys,
                     const std::vector<SlottedSet>& bob_keys, size_t h,
                     double tau);
 
-Result<GapPipelineResult> RunGapPipeline(
-    const PointStore& alice, const PointStore& bob,
-    const std::vector<std::unique_ptr<LshFunction>>& functions,
-    const GapPipelineConfig& config);
+/// The pipeline both variants share once `derived` is set: draws the
+/// derived.h * derived.m LSH functions of `family` from the shared seed,
+/// builds keys (h batches of m), reconciles them with `reconciler`, flags
+/// far keys at threshold derived.tau and transmits T_A. The report carries
+/// `derived`.
+Result<GapProtocolReport> RunGapPipeline(const PointStore& alice,
+                                         const PointStore& bob,
+                                         const LshFamily& family,
+                                         const GapDerived& derived,
+                                         const SetsReconcilerParams& reconciler,
+                                         size_t num_threads, uint64_t seed);
 
 }  // namespace internal
 

@@ -110,12 +110,17 @@ Result<ExactReconReport> RunExactIbltReconciliation(
   // prepends the chosen count to her sketch message.
   size_t negotiated_cells = params.num_cells;
   if (params.adaptive.enabled) {
+    const uint64_t strata_seed = HashCombine(params.seed, 0xe6ac'ada'7ULL);
     RSR_ASSIGN_OR_RETURN(
-        negotiated_cells,
-        NegotiateSingleSketchCells(alice_keys, bob_keys, params.adaptive,
-                                   HashCombine(params.seed, 0xe6ac'ada'7ULL),
-                                   params.num_cells, &transcript,
-                                   "B->A exact strata"));
+        std::vector<size_t> cells,
+        NegotiateSketchCells(
+            BuildLevelEstimators(alice_keys, 1, alice_keys.size(),
+                                 params.adaptive, strata_seed, 1),
+            bob_keys, params.adaptive, strata_seed,
+            params.adaptive.cell_multiplier, CellRounding::kExact,
+            params.num_cells, params.num_hashes, 1, &transcript,
+            "B->A exact strata"));
+    negotiated_cells = cells[0];
   }
 
   IbltParams iblt_params;

@@ -173,12 +173,17 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
   // so a negotiated size would be pure wasted wire.
   const bool negotiate_sig = params.adaptive.enabled && params.max_attempts > 0;
   if (negotiate_sig) {
+    const uint64_t strata_seed = HashCombine(salt, 0x51'ada'7ULL);
     RSR_ASSIGN_OR_RETURN(
-        sig_cells,
-        NegotiateSingleSketchCells(bob_salted, alice_salted, params.adaptive,
-                                   HashCombine(salt, 0x51'ada'7ULL),
-                                   static_cells, &transcript,
-                                   "A->B sig-strata", codec));
+        std::vector<size_t> cells,
+        NegotiateSketchCells(
+            BuildLevelEstimators(bob_salted, 1, bob_salted.size(),
+                                 params.adaptive, strata_seed, 1),
+            alice_salted, params.adaptive, strata_seed,
+            params.adaptive.cell_multiplier, CellRounding::kExact,
+            static_cells, params.num_hashes, 1, &transcript,
+            "A->B sig-strata", codec));
+    sig_cells = cells[0];
   }
   // The static path tries static_cells << 0..(max_attempts-1); the adaptive
   // path may start lower, so its ladder keeps doubling past max_attempts

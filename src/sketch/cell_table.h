@@ -7,10 +7,13 @@
 //
 //   - CellGeometry: q subtables of m cells each, the seeded degree-2 index
 //     polynomials, and the key -> cell map (CellsOf / ForEachCell).
-//   - ShardedUpdate: the 3-phase sharded batch build (hash once, stable block
-//     partition, apply per block). The table supplies the per-entry apply.
-//   - FoldBlocks / FoldTableTo: the fold-down projection walk. The table
-//     supplies the per-block copy and accumulate.
+//   - ApplyInKeyOrder / ShardedUpdate: the sequential batch build, and the
+//     3-phase sharded one (hash once, stable block partition, apply per
+//     block) that the Riblt's maintained tables use. The table supplies the
+//     per-entry apply.
+//   - FoldBlocks / FoldTableTo: the fold-down projection walk (Riblt only:
+//     adaptive warm serving folds RIBLTs). The table supplies the per-block
+//     copy and accumulate.
 //   - ScratchPool: instance-pooled scratch that copies do not carry, so the
 //     tables keep defaulted copy operations. Peel scratch is thread_local
 //     inside each table's decode: one policy, under which decode is const

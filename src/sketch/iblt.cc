@@ -41,15 +41,14 @@ Iblt::Iblt(const IbltParams& params)
       3 * num_cells() + ValueWords(num_cells(), params_.value_size), 0);
 }
 
-void Iblt::UpdateManySharded(std::span<const uint64_t> keys, int direction,
-                             size_t num_shards, size_t num_threads) {
+// RSR_ZERO_ALLOC: pinned by SketchHotPathTest.IbltUpdateManyDoesNotAllocate.
+void Iblt::UpdateMany(std::span<const uint64_t> keys, int direction) {
   RSR_CHECK_EQ(params_.value_size, 0u);
   const uint64_t mask = checksum_mask_;
   const uint64_t salt = checksum_salt_;
   const CellSlabs slabs = Slabs();
-  sketch_internal::ShardedUpdate(
-      geometry_, keys, /*cell_bytes=*/3 * sizeof(uint64_t), num_shards,
-      num_threads, shard_scratch_.get(),
+  sketch_internal::ApplyInKeyOrder(
+      geometry_, keys,
       [=](uint64_t key) { return ChecksumWithSalt(key, salt) & mask; },
       [=](size_t cell, size_t i, uint64_t checksum) {
         slabs.Apply(cell, keys[i], checksum, nullptr, direction);
@@ -65,50 +64,6 @@ Status Iblt::CheckCompatible(const Iblt& other) const {
     return Status::InvalidArgument("IBLT parameter mismatch");
   }
   return Status::OK();
-}
-
-// RSR_ZERO_ALLOC: warm folds reuse dst's arena
-// (CellTableFoldTest.WarmFoldIntoPerformsZeroAllocations).
-Status Iblt::FoldInto(Iblt* dst) const {
-  if (dst->params_.num_hashes != params_.num_hashes ||
-      dst->params_.value_size != params_.value_size ||
-      dst->params_.checksum_bytes != params_.checksum_bytes ||
-      dst->params_.seed != params_.seed) {
-    return Status::InvalidArgument("IBLT parameter mismatch in FoldInto");
-  }
-  // Counts add; key/checksum/value words XOR.
-  const size_t value_size = params_.value_size;
-  RSR_RETURN_NOT_OK(sketch_internal::FoldBlocks(
-      geometry_, dst->geometry_,
-      [&](size_t src_off, size_t dst_off, size_t len, bool first) {
-        const int64_t* const sc = Counts() + src_off;
-        const uint64_t* const sk = KeyXors() + src_off;
-        const uint64_t* const ss = ChecksumXors() + src_off;
-        const uint8_t* const sv = ValueXors() + src_off * value_size;
-        int64_t* const dc = dst->Counts() + dst_off;
-        uint64_t* const dk = dst->KeyXors() + dst_off;
-        uint64_t* const dsum = dst->ChecksumXors() + dst_off;
-        uint8_t* const dv = dst->ValueXors() + dst_off * value_size;
-        if (first) {
-          std::copy(sc, sc + len, dc);
-          std::copy(sk, sk + len, dk);
-          std::copy(ss, ss + len, dsum);
-          std::copy(sv, sv + len * value_size, dv);
-          return;
-        }
-        for (size_t i = 0; i < len; ++i) {
-          dc[i] = sketch_internal::WrapAdd(dc[i], sc[i]);
-        }
-        for (size_t i = 0; i < len; ++i) dk[i] ^= sk[i];
-        for (size_t i = 0; i < len; ++i) dsum[i] ^= ss[i];
-        for (size_t i = 0; i < len * value_size; ++i) dv[i] ^= sv[i];
-      }));
-  dst->checksum_mask_ = checksum_mask_;  // folding preserves the domain
-  return Status::OK();
-}
-
-Result<Iblt> Iblt::FoldTo(size_t num_cells) const {
-  return sketch_internal::FoldTableTo(*this, num_cells);
 }
 
 IbltDecodeResult Iblt::Decode() const {

@@ -6,9 +6,11 @@
 // symmetric difference and can be decoded by peeling cells with count +-1
 // whose checksum validates. Theorem 2.6: m cells decode cm keys whp.
 //
-// The q-partitioned layout, index polynomials, sharded build and fold walk
-// are the shared cell-table engine (sketch/cell_table.h), and the compact
-// codec's shared decisions are sketch/cell_codec.h. This file holds the XOR
+// The q-partitioned layout, index polynomials and in-order batch update are
+// the shared cell-table engine (sketch/cell_table.h), and the compact
+// codec's shared decisions are sketch/cell_codec.h. (The engine's sharded
+// build and fold walk serve only the Riblt: no protocol builds a sharded
+// IBLT or folds one.) This file holds the XOR
 // algebra: the cell fields, the update op, purity, the peel loop and the
 // codec's key and value columns. Cell storage is one
 // struct-of-arrays arena (counts | key XORs | checksum XORs | value XORs).
@@ -81,32 +83,11 @@ class Iblt {
   void Update(uint64_t key, const uint8_t* value, int direction);
 
   /// Batched hot path for whole buckets of value-less keys (protocol layers
-  /// insert entire salted-key vectors at once). Never allocates.
-  void UpdateMany(std::span<const uint64_t> keys, int direction) {
-    UpdateManySharded(keys, direction, /*num_shards=*/1, /*num_threads=*/1);
-  }
+  /// insert entire salted-key vectors at once), applied in key order. Never
+  /// allocates.
+  void UpdateMany(std::span<const uint64_t> keys, int direction);
   void InsertMany(std::span<const uint64_t> keys) { UpdateMany(keys, +1); }
   void DeleteMany(std::span<const uint64_t> keys) { UpdateMany(keys, -1); }
-
-  /// Sharded intra-table batched update (value-less keys, like UpdateMany):
-  /// the engine's 3-phase schedule (sketch_internal::ShardedUpdate). The
-  /// table is byte-identical to sequential UpdateMany for every
-  /// (num_shards, num_threads); warm repeat calls allocate nothing.
-  void UpdateManySharded(std::span<const uint64_t> keys, int direction,
-                         size_t num_shards, size_t num_threads);
-
-  /// Fold-down projection (XOR analogue of Riblt::FoldInto): overwrites
-  /// `dst` (same num_hashes/value_size/checksum_bytes/seed) with this table
-  /// folded to dst's size — within each subtable, source cell i adds its
-  /// count into (and XORs its key/checksum/value words into) dst cell
-  /// i mod m', where dst's cells-per-subtable m' must divide ours. The cell
-  /// index polynomials depend on the seed only, so the folded table is
-  /// byte-identical to a cold build at dst's size. O(num_cells), no
-  /// rehashing, no allocation.
-  Status FoldInto(Iblt* dst) const;
-  /// Convenience: folds into a fresh table of `num_cells` cells (rounded up
-  /// to a multiple of num_hashes, like the constructor).
-  Result<Iblt> FoldTo(size_t num_cells) const;
 
   /// Peels the table (on a pooled scratch copy of the cell arena; the sketch
   /// itself stays intact). Returns entries with net counts +-1; the result is
@@ -140,7 +121,7 @@ class Iblt {
  private:
   /// Raw views of the cell slabs, taken once per call so per-cell stores
   /// never force the table's members to reload. Apply is the XOR update op
-  /// on one cell: the update, sharded-build and peel paths all run it.
+  /// on one cell: the update, batch-update and peel paths all run it.
   struct CellSlabs {
     int64_t* counts;
     uint64_t* keys;
@@ -193,7 +174,6 @@ class Iblt {
   /// Single allocation: 3*num_cells() words of counts/keys/checksums
   /// followed by ceil(num_cells()*value_size/8) words of value bytes.
   std::vector<uint64_t> arena_;
-  sketch_internal::ScratchPool<sketch_internal::ShardScratch> shard_scratch_;
 };
 
 // ---- Hot path (inline) ------------------------------------------------------

@@ -1,16 +1,16 @@
-// Behaviours of the shared cell-table engine (sketch/cell_table.h), run over
-// both tables it backs: the XOR Iblt and the sum-cell Riblt. Each typed test
-// is one behaviour; the per-table ops below supply only the algebra-specific
-// parameters and update calls.
+// Behaviours of the shared cell-table engine (sketch/cell_table.h). Each
+// typed test is one behaviour; the per-table ops below supply only the
+// algebra-specific parameters and update calls. The fold walk and the
+// sharded build serve only the sum-cell Riblt (the XOR Iblt has neither),
+// so those suites run over RibltOps; decode runs over both tables.
 //
 //   - fold-down projection: byte-identical to a cold build on every divisor
 //     rung, rejection of non-divisor and mismatched targets, and a warm
 //     FoldInto that allocates nothing;
 //   - sharded build: byte-identical to the sequential build for every
 //     (num_shards, num_threads);
-//   - reentrant decode: four threads decoding one shared table each get the
-//     sequential result (run under TSan in CI).
-#include <array>
+//   - reentrant decode: four threads decoding one shared Riblt or Iblt each
+//     get the sequential result (run under TSan in CI).
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -118,79 +118,11 @@ struct RibltOps {
   }
 };
 
-struct IbltOps {
-  using Table = Iblt;
-  static constexpr int kQ = 4;
-  static constexpr size_t kCapCells = 256;  // 64 cells per subtable
-  static constexpr size_t kValueSize = 4;   // folds cover the value slab
-
-  static IbltParams FoldParams(size_t cells, uint64_t seed = 9) {
-    IbltParams params;
-    params.num_cells = cells;
-    params.num_hashes = kQ;
-    params.value_size = kValueSize;
-    params.checksum_bytes = 4;
-    params.seed = seed;
-    return params;
-  }
-  static Stream FoldStream(uint64_t seed) {
-    return MakeStream(50, 50, 1, 1, seed);
-  }
-  static std::vector<Iblt> MismatchedTargets(size_t cells) {
-    std::vector<Iblt> out;
-    IbltParams p = FoldParams(cells, /*seed=*/10);
-    out.emplace_back(p);
-    p = FoldParams(cells);
-    p.value_size = 2;
-    out.emplace_back(p);
-    p = FoldParams(cells);
-    p.num_hashes = 2;
-    p.num_cells = cells / 2;  // same cells per subtable, different q
-    out.emplace_back(p);
-    p = FoldParams(cells);
-    p.checksum_bytes = 8;
-    out.emplace_back(p);
-    return out;
-  }
-  static void Apply(const Stream& s, Iblt* table) {
-    auto value_of = [](uint64_t key) {
-      std::array<uint8_t, kValueSize> v{};
-      for (size_t i = 0; i < kValueSize; ++i) {
-        v[i] = static_cast<uint8_t>(key >> (8 * i));
-      }
-      return v;
-    };
-    for (uint64_t key : s.ins_keys) {
-      table->Update(key, value_of(key).data(), +1);
-    }
-    for (uint64_t key : s.del_keys) {
-      table->Update(key, value_of(key).data(), -1);
-    }
-  }
-
-  static IbltParams ShardParams() {
-    IbltParams params;
-    params.num_cells = 257;
-    params.seed = 17;
-    return params;
-  }
-  static Stream ShardStream() { return MakeStream(300, 111, 1, 1, 4); }
-  static void ApplyMany(const Stream& s, Iblt* table) {
-    table->UpdateMany(s.ins_keys, +1);
-    table->UpdateMany(s.del_keys, -1);
-  }
-  static void ApplySharded(const Stream& s, Iblt* table, size_t shards,
-                           size_t threads) {
-    table->UpdateManySharded(s.ins_keys, +1, shards, threads);
-    table->UpdateManySharded(s.del_keys, -1, shards, threads);
-  }
-};
-
 template <typename Ops>
 class CellTableFoldTest : public ::testing::Test {};
 template <typename Ops>
 class CellTableShardedTest : public ::testing::Test {};
-using TableOps = ::testing::Types<RibltOps, IbltOps>;
+using TableOps = ::testing::Types<RibltOps>;
 TYPED_TEST_SUITE(CellTableFoldTest, TableOps);
 TYPED_TEST_SUITE(CellTableShardedTest, TableOps);
 
@@ -220,7 +152,7 @@ TYPED_TEST(CellTableFoldTest, RejectsNonDivisorAndMismatchedTargets) {
   using Table = typename Ops::Table;
   const size_t q = static_cast<size_t>(Ops::kQ);
   Table cap(Ops::FoldParams(Ops::kCapCells));
-  // 5 cells per subtable divides neither 96 nor 64.
+  // 5 cells per subtable does not divide 96.
   EXPECT_FALSE(cap.FoldTo(5 * q).ok());
   // Larger than the source.
   EXPECT_FALSE(cap.FoldTo(2 * Ops::kCapCells).ok());
@@ -337,7 +269,9 @@ TEST(CellTableConcurrentDecodeTest, RibltDecodeIntoMatchesSequential) {
 }
 
 TEST(CellTableConcurrentDecodeTest, IbltDecodeDiffMatchesSequential) {
-  IbltParams params = IbltOps::ShardParams();
+  IbltParams params;
+  params.num_cells = 257;
+  params.seed = 17;
   Iblt a(params), b(params);
   Rng rng(7);
   std::vector<uint64_t> shared(100), only_a(6), only_b(5);

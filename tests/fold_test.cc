@@ -1,18 +1,17 @@
-// Tests for the fold-down projections (Riblt::FoldInto / Iblt::FoldInto).
+// Tests for the fold-down projection (Riblt::FoldInto).
 //
 // The load-bearing claim behind adaptive warm serving: folding a cap-size
-// table down to any divisor-ladder rung is cell-for-cell (WriteTo
+// RIBLT down to any divisor-ladder rung is cell-for-cell (WriteTo
 // byte-for-byte) identical to building the smaller table cold from the same
 // update stream. Covers sharded source builds, per-level seeds, fold-of-fold
 // composition and decode equivalence after folding. The divisor chain,
-// target rejection and zero-allocation warm fold run over both tables in
-// cell_table_test.cc.
+// target rejection and zero-allocation warm fold are in cell_table_test.cc.
+// Only RIBLTs are folded: the XOR Iblt has no fold.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sketch/iblt.h"
 #include "sketch/riblt.h"
 #include "alloc_counter.h"
 #include "util/random.h"
@@ -34,12 +33,6 @@ RibltParams MakeRibltParams(size_t cells, uint64_t seed = 7, int q = 3) {
 }
 
 std::vector<uint8_t> Bytes(const Riblt& table) {
-  ByteWriter w;
-  table.WriteTo(&w);
-  return w.buffer();
-}
-
-std::vector<uint8_t> Bytes(const Iblt& table) {
   ByteWriter w;
   table.WriteTo(&w);
   return w.buffer();
@@ -157,57 +150,6 @@ TEST(RibltFoldTest, FoldedTableDecodesTheDifference) {
   EXPECT_EQ(from_fold->deleted_keys, from_cold->deleted_keys);
   EXPECT_EQ(from_fold->inserted_keys.size(), alice_only.size());
   EXPECT_EQ(from_fold->deleted_keys.size(), bob_only.size());
-}
-
-// ---- Iblt ------------------------------------------------------------------
-
-IbltParams MakeIbltParams(size_t cells, size_t value_size = 0,
-                          uint64_t seed = 9, int q = 4) {
-  IbltParams params;
-  params.num_cells = cells;
-  params.num_hashes = q;
-  params.value_size = value_size;
-  params.checksum_bytes = 4;
-  params.seed = seed;
-  return params;
-}
-
-TEST(IbltFoldTest, FoldMatchesColdBuildWithValues) {
-  // Value slabs XOR-fold; exercise a non-empty value_size.
-  Rng rng(81);
-  Iblt cap(MakeIbltParams(256, /*value_size=*/6));
-  Iblt cold(MakeIbltParams(64, /*value_size=*/6));
-  for (int i = 0; i < 40; ++i) {
-    uint64_t key = rng.Next();
-    std::vector<uint8_t> value(6);
-    for (uint8_t& b : value) b = static_cast<uint8_t>(rng.Next());
-    cap.Update(key, value.data(), +1);
-    cold.Update(key, value.data(), +1);
-  }
-  auto folded = cap.FoldTo(64);
-  ASSERT_TRUE(folded.ok());
-  EXPECT_EQ(Bytes(*folded), Bytes(cold));
-}
-
-TEST(IbltFoldTest, FoldedDiffPeelsTheSameEntries) {
-  Rng rng(91);
-  std::vector<uint64_t> shared, a_only, b_only;
-  for (int i = 0; i < 200; ++i) shared.push_back(rng.Next());
-  for (int i = 0; i < 4; ++i) a_only.push_back(rng.Next());
-  for (int i = 0; i < 4; ++i) b_only.push_back(rng.Next());
-  Iblt a(MakeIbltParams(512)), b(MakeIbltParams(512));
-  a.InsertMany(shared);
-  a.InsertMany(a_only);
-  b.InsertMany(shared);
-  b.InsertMany(b_only);
-  auto fa = a.FoldTo(64);
-  auto fb = b.FoldTo(64);
-  ASSERT_TRUE(fa.ok());
-  ASSERT_TRUE(fb.ok());
-  auto diff = fa->DecodeDiff(*fb);
-  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
-  EXPECT_TRUE(diff->complete);
-  EXPECT_EQ(diff->entries.size(), a_only.size() + b_only.size());
 }
 
 // ---- FoldEmdSketches (the per-session projection) ---------------------------

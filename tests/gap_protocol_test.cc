@@ -292,6 +292,26 @@ TEST(LowDimGapTest, RejectsOversizedKeyLength) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(LowDimGapTest, RejectsTwoEmptyStoresLikeTheGeneralVariant) {
+  // Both variants share their input checks, which run before any LSH draw:
+  // two empty stores fail up front, not inside the reconciler.
+  const PointStore empty;
+  LowDimGapParams params;
+  params.metric = MetricKind::kL1;
+  params.dim = 2;
+  params.delta = 255;
+  params.r1 = 1;
+  params.r2 = 100;
+  params.seed = 1;
+  const Status low = RunLowDimGapProtocol(empty, empty, params).status();
+  const Status general =
+      RunGapProtocol(empty, empty, HammingParams(64, 1, 16, 1, 1)).status();
+  EXPECT_EQ(low.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(low.message(), "both point sets empty");
+  EXPECT_EQ(general.code(), low.code());
+  EXPECT_EQ(general.message(), low.message());
+}
+
 TEST(LowDimGapTest, GuaranteeHoldsL1) {
   int violations = 0;
   for (int trial = 0; trial < 6; ++trial) {

@@ -1,20 +1,19 @@
-// Sharded-vs-sequential byte-identity for the intra-table RIBLT/IBLT build.
+// Sharded-vs-sequential byte-identity for the intra-table RIBLT build.
 //
-// Riblt::UpdateManySharded and Iblt::UpdateManySharded are pure
-// re-schedulings of the sequential UpdateMany: every cell sees its updates
-// in global key order, so the cell slabs — and therefore the WriteTo wire
-// bytes — must match exactly for every (num_shards, num_threads)
-// combination, on cold and warm (pooled-scratch) calls alike. The basic
-// insert/delete identity runs over both tables in cell_table_test.cc; the
-// protocol test here pins the stronger end-to-end form: the full EMD
-// transcript is independent of the sketch_shards knob.
+// Riblt::UpdateManySharded is a pure re-scheduling of the sequential
+// UpdateMany: every cell sees its updates in global key order, so the cell
+// slabs — and therefore the WriteTo wire bytes — must match exactly for
+// every (num_shards, num_threads) combination, on cold and warm
+// (pooled-scratch) calls alike. The basic insert/delete identity is in
+// cell_table_test.cc; the protocol test here pins the stronger end-to-end
+// form: the full EMD transcript is independent of the sketch_shards knob.
+// (The XOR Iblt has no sharded build: no protocol shards one.)
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/emd_protocol.h"
-#include "sketch/iblt.h"
 #include "sketch/riblt.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -73,28 +72,6 @@ TEST(RibltShardedTest, ShardCountsBeyondCellsClampSafely) {
   table.UpdateManySharded(keys, values, +1, /*num_shards=*/1024,
                           /*num_threads=*/4);
   EXPECT_EQ(Bytes(table), Bytes(reference));
-}
-
-TEST(IbltShardedTest, ShardedTableDecodesTheSameDiff) {
-  IbltParams params;
-  params.num_cells = 128;
-  params.seed = 23;
-  Rng rng(5);
-  std::vector<uint64_t> shared(64), only_a(5), only_b(3);
-  for (auto& k : shared) k = rng.Next();
-  for (auto& k : only_a) k = rng.Next();
-  for (auto& k : only_b) k = rng.Next();
-  std::vector<uint64_t> a_keys = shared, b_keys = shared;
-  a_keys.insert(a_keys.end(), only_a.begin(), only_a.end());
-  b_keys.insert(b_keys.end(), only_b.begin(), only_b.end());
-
-  Iblt a(params), b(params);
-  a.UpdateManySharded(a_keys, +1, /*num_shards=*/7, /*num_threads=*/2);
-  b.UpdateManySharded(b_keys, +1, /*num_shards=*/64, /*num_threads=*/1);
-  auto diff = a.DecodeDiff(b);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_TRUE(diff->complete);
-  EXPECT_EQ(diff->entries.size(), only_a.size() + only_b.size());
 }
 
 void ExpectSameComm(const CommStats& a, const CommStats& b) {
