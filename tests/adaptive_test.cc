@@ -144,6 +144,77 @@ TEST(AdaptiveNegotiateTest, DeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(AdaptiveNegotiateTest, SketchCellsShipReceiverEstimatorsAndNegotiate) {
+  // The round is the receiver's estimator message followed by the sender's
+  // per-level comparison: its sizes equal NegotiateLevelCells against
+  // estimators built directly over the receiver's keys, and the one message
+  // it records is exactly WriteEstimators' bytes (plus the wire header under
+  // kCompact), for single sketches and level stacks alike.
+  AdaptiveSizingParams params;
+  const size_t n = 300;
+  for (size_t levels : {1u, 3u}) {
+    std::vector<uint64_t> sender_keys(levels * n), receiver_keys(levels * n);
+    Rng rng(17 + levels);
+    for (size_t i = 0; i < levels * n; ++i) {
+      uint64_t k = rng.Next();
+      sender_keys[i] = k;
+      receiver_keys[i] = (i % 23 == 0) ? rng.Next() : k;
+    }
+    std::vector<StrataEstimator> sender =
+        BuildLevelEstimators(sender_keys, levels, n, params, 21, 1);
+    std::vector<StrataEstimator> receiver =
+        BuildLevelEstimators(receiver_keys, levels, n, params, 21, 1);
+    for (WireCodec codec : {WireCodec::kClassic, WireCodec::kCompact}) {
+      for (CellRounding rounding :
+           {CellRounding::kExact, CellRounding::kDivisorLadder}) {
+        SCOPED_TRACE(testing::Message()
+                     << "levels " << levels << " codec "
+                     << static_cast<int>(codec) << " rounding "
+                     << static_cast<int>(rounding));
+        Transcript transcript;
+        auto cells = NegotiateSketchCells(
+            sender, receiver_keys, params, 21, 36.0, rounding,
+            /*cap_cells=*/4608, /*table_hashes=*/3, /*num_threads=*/2,
+            &transcript, "B->A strata", codec);
+        ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+        EXPECT_EQ(*cells, NegotiateLevelCells(sender, receiver, 36.0,
+                                              params.floor_cells, 4608,
+                                              rounding, 3, 1));
+        ByteWriter expected;
+        if (codec != WireCodec::kClassic) WriteWireHeader(codec, &expected);
+        WriteEstimators(receiver, &expected, codec);
+        const auto& messages = transcript.stats().messages;
+        ASSERT_EQ(messages.size(), 1u);
+        EXPECT_EQ(messages[0].label, "B->A strata");
+        EXPECT_EQ(messages[0].bytes, expected.size_bytes());
+        EXPECT_EQ(messages[0].codec, codec);
+      }
+    }
+  }
+}
+
+TEST(AdaptiveNegotiateTest, SketchCellsRejectKeysThatDoNotSplitIntoLevels) {
+  // No sender estimators, or receiver keys that do not divide evenly among
+  // them, are caller errors: rejected before anything goes on the wire.
+  AdaptiveSizingParams params;
+  std::vector<uint64_t> keys(10);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = 500 + i;
+  const std::vector<StrataEstimator> none;
+  const std::vector<StrataEstimator> three =
+      BuildLevelEstimators(std::span<const uint64_t>(keys).first(9), 3, 3,
+                           params, 4, 1);
+  Transcript transcript;
+  auto empty = NegotiateSketchCells(none, keys, params, 4, 4.0,
+                                    CellRounding::kExact, 256, 3, 1,
+                                    &transcript, "strata");
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+  auto uneven = NegotiateSketchCells(three, keys, params, 4, 4.0,
+                                     CellRounding::kExact, 256, 3, 1,
+                                     &transcript, "strata");
+  EXPECT_EQ(uneven.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(transcript.stats().messages.empty());
+}
+
 TEST(AdaptiveWireTest, EstimatorsRoundTripThroughOneMessage) {
   AdaptiveSizingParams params;
   const size_t levels = 3, n = 200;

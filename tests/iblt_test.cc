@@ -152,6 +152,26 @@ TEST(IbltTest, SerializationDetectsTruncation) {
   EXPECT_FALSE(restored.ok());
 }
 
+TEST(IbltTest, UpdateManyMatchesPerKeyUpdates) {
+  // The batched update is byte-identical to one Insert/Delete per key, for
+  // an insert/delete mix with more keys than cells and a repeated key.
+  const IbltParams params = MakeParams(96, 3, 0, 5);
+  Rng rng(8);
+  std::vector<uint64_t> ins(300), del(120);
+  for (auto& k : ins) k = rng.Next();
+  for (auto& k : del) k = rng.Next();
+  ins[299] = ins[0];
+  Iblt batched(params), per_key(params);
+  batched.UpdateMany(ins, +1);
+  batched.DeleteMany(del);
+  for (uint64_t k : ins) per_key.Insert(k);
+  for (uint64_t k : del) per_key.Delete(k);
+  ByteWriter a, b;
+  batched.WriteTo(&a, WireCodec::kClassic);
+  per_key.WriteTo(&b, WireCodec::kClassic);
+  EXPECT_EQ(a.buffer(), b.buffer());
+}
+
 TEST(IbltTest, CellCountRoundsUpToMultipleOfQ) {
   Iblt table(MakeParams(10, 4));
   EXPECT_EQ(table.num_cells() % 4, 0u);
